@@ -212,7 +212,9 @@ def braid_from_text(text: str) -> BraidWord:
         raise ValueError(f"braid text needs the form 'n;l1,l2,...': got {text!r}")
     try:
         strands = int(head)
-        letters = tuple(int(tok) for tok in tail.split(",") if tok.strip())
+        # int() rejects an empty token, so "3;1,,2" and "3;1,2," fail here;
+        # only a wholly empty letter list means the empty word.
+        letters = tuple(int(tok) for tok in tail.split(",")) if tail.strip() else ()
     except ValueError as exc:
         raise ValueError(f"braid text needs the form 'n;l1,l2,...': got {text!r}") from exc
     return BraidWord(strands, letters)

@@ -291,8 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
                         default="json", help="output format (default json)")
     common.add_argument("--jones-threshold", type=int, default=None,
                         help="strand threshold for Jones computations (default 12)")
-    common.add_argument("--timings", action="store_true",
-                        help="include wall-time fields in reports")
+    # only the commands whose reports carry wall-time fields take --timings
+    timed = argparse.ArgumentParser(add_help=False)
+    timed.add_argument("--timings", action="store_true",
+                       help="include wall-time fields in reports")
     sub = parser.add_subparsers(dest="command", required=True)
 
     # construct prints plain text and has its own output selector, so it does
@@ -309,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_invariant.add_argument("which", choices=("alexander", "jones", "determinant", "span"))
     p_invariant.set_defaults(func=cmd_invariant)
 
-    p_verify = sub.add_parser("verify", parents=[common],
+    p_verify = sub.add_parser("verify", parents=[common, timed],
                               help="verify one family member against its decomposition")
     p_verify.add_argument("--a", type=int, required=True)
     p_verify.add_argument("--k1", type=int, required=True)
@@ -317,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--level", choices=LEVELS, default="standard")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_enum = sub.add_parser("enumerate", parents=[common],
+    p_enum = sub.add_parser("enumerate", parents=[common, timed],
                             help="sweep the family over a parameter box")
     p_enum.add_argument("--a-max", type=int, required=True)
     p_enum.add_argument("--k1-max", type=int, required=True)
@@ -325,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--level", choices=LEVELS, default="alexander")
     p_enum.set_defaults(func=cmd_enumerate)
 
-    p_self = sub.add_parser("selftest", parents=[common],
+    p_self = sub.add_parser("selftest", parents=[common, timed],
                             help="run the built-in oracle suites")
     p_self.add_argument("--seed", type=int, default=0)
     p_self.set_defaults(func=cmd_selftest)

@@ -200,3 +200,7 @@ def test_braid_text_roundtrip():
         braid_from_text("21,1,1")
     with pytest.raises(ValueError):
         braid_from_text("2;1,x")
+    assert braid_from_text("3;") == BraidWord(3, ())
+    for text in ("3;1,,2", "3;1,2,", "3;,1", "3;,"):
+        with pytest.raises(ValueError, match="braid text"):
+            braid_from_text(text)

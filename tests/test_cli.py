@@ -123,6 +123,16 @@ def test_timings_flag_adds_millis(capsys):
     assert "millis" in json.loads(out)["checks"][0]
 
 
+def test_timings_flag_only_where_reports_have_times(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["invariant", "T(2,3)", "jones", "--timings"])
+    assert info.value.code == EXIT_USAGE
+    assert "--timings" in capsys.readouterr().err
+    code, out, _ = run(capsys, "selftest", "--timings")
+    assert code == EXIT_OK
+    assert all("millis" in entry for entry in json.loads(out)["selftest"])
+
+
 def test_polynomial_json_roundtrip(capsys):
     from twistsum import LaurentPoly, torus_alexander_closed
 

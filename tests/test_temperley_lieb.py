@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 
@@ -20,8 +22,10 @@ from twistsum import (
     tl_apply_letter,
     torus_braid,
     torus_jones_closed,
+    twisted_torus_braid,
 )
-from twistsum.temperley_lieb import _cupcap, _identity_pairing
+from twistsum import temperley_lieb
+from twistsum.temperley_lieb import _cupcap, _identity_pairing, _rotated
 
 CATALAN_EXPECTED = [1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 
@@ -87,6 +91,21 @@ def test_cup_cap_relations():
                     there, l1 = _cupcap(once, j)
                     back, l2 = _cupcap(there, i)
                     assert back == once and l1 + l2 == 0
+
+
+def test_apply_letter_is_linear_over_mixed_exponents():
+    # A caller's coefficient may mix exponent residues mod 4 and carry large
+    # integers; the result must equal the sum over its monomials.
+    n = 4
+    poly = LaurentPoly({-7: 1, 0: 5, 1: -3, 2: 10**30, 6: -(2**70)})
+    for m in enumerate_matchings(n):
+        for letter in (1, -2, 3):
+            expected: dict = {}
+            for e, c in poly.items():
+                for k, v in tl_apply_letter({m: LaurentPoly.one()}, letter, n).items():
+                    expected[k] = expected.get(k, LaurentPoly.zero()) + v.shifted(e) * c
+            expected = {k: v for k, v in expected.items() if v}
+            assert tl_apply_letter({m: poly}, letter, n) == expected
 
 
 def test_apply_letter_braid_relation():
@@ -185,3 +204,94 @@ def test_jones_multiplicative_under_connected_sum():
 
 def test_identity_pairing_shape():
     assert _identity_pairing(3) == (5, 4, 3, 2, 1, 0)
+
+
+def test_rotation_rule():
+    assert _rotated(()) == ()
+    assert _rotated((2, 2, -2)) == (2, 2, -2)
+    # the longest run avoiding generator 3 is (1, 2, 1)
+    assert _rotated((3, 1, 2, 1, 3, 2)) == (1, 2, 1, 3, 2, 3)
+    # the run may wrap around the end of the word
+    assert _rotated((1, 3, 2, 3, 2, 1)) == (2, 1, 1, 3, 2, 3)
+    # a twisted torus word starts at its twist block
+    w = twisted_torus_braid(9, 5, 7, -1)
+    twist = len(w.letters) - 42
+    assert _rotated(w.letters) == w.letters[twist:] + w.letters[:twist]
+
+
+def test_bracket_of_every_rotation_matches_brute_force_pd():
+    rng = random.Random(21)
+    for _ in range(12):
+        w = random_knot_word(rng, 5, 12)
+        expected = bracket_from_pd(closure_pd_code(w))
+        for k in range(len(w.letters)):
+            rotation = BraidWord(w.strands, w.letters[k:] + w.letters[:k])
+            assert kauffman_bracket(rotation) == expected
+
+
+def test_bracket_unchanged_by_cancelling_padding():
+    # Each (i, -i) pair is a Reidemeister II move; the padding lengthens the
+    # word, so intermediate coefficients grow large before they cancel.
+    rng = random.Random(22)
+    for _ in range(6):
+        w = random_knot_word(rng, 6, 10)
+        i = rng.randint(1, w.strands - 1)
+        at = rng.randint(0, len(w.letters))
+        padded = BraidWord(w.strands, w.letters[:at] + (i, -i) * 30 + w.letters[at:])
+        assert kauffman_bracket(padded) == kauffman_bracket(w)
+
+
+def test_jones_of_five_figure_eights():
+    fig8 = BraidWord(3, (1, -2, 1, -2))
+    total = fig8
+    for _ in range(4):
+        total = braid_connected_sum(total, fig8)
+    assert total.strands == 11
+    assert jones_from_braid(total) == jones_from_braid(fig8) ** 5
+
+
+def test_bracket_independent_of_table_state(monkeypatch):
+    rng = random.Random(23)
+    words = [random_knot_word(rng, 6, 16) for _ in range(10)]
+    words += [torus_braid(5, 6), twisted_torus_braid(5, 3, 3, -1)]
+    warm = [kauffman_bracket(w) for w in words]
+    assert [kauffman_bracket(w) for w in words] == warm
+    cold = []
+    for w in words:
+        monkeypatch.setattr(temperley_lieb, "_DIAGRAMS", {})
+        cold.append(kauffman_bracket(w))
+    assert cold == warm
+    # ids assigned in another order: tables first filled from arbitrary diagrams
+    monkeypatch.setattr(temperley_lieb, "_DIAGRAMS", {})
+    for n in range(2, 7):
+        for m in list(enumerate_matchings(n))[::-3]:
+            tl_apply_letter({m: LaurentPoly.one()}, n - 1, n)
+    assert [kauffman_bracket(w) for w in reversed(words)] == warm[::-1]
+
+
+def test_bracket_tables_shared_across_threads(monkeypatch):
+    # Threads fill one strand count's tables at once; an id published before
+    # its table rows exist fails here within a few dozen rounds.
+    rng = random.Random(24)
+    words = [random_knot_word(rng, 8, 30) for _ in range(32)]
+    expected = [kauffman_bracket(w) for w in words]
+
+    def work(first, results):
+        for i in range(first, len(words), 4):
+            results[i] = kauffman_bracket(words[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(40):
+            monkeypatch.setattr(temperley_lieb, "_DIAGRAMS", {})
+            results = [None] * len(words)
+            threads = [threading.Thread(target=work, args=(k, results)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert results == expected
+    finally:
+        sys.setswitchinterval(interval)
