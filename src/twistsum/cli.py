@@ -2,7 +2,8 @@
 
 Commands: construct, invariant, verify, enumerate, selftest. Exit codes are
 stable across commands: 0 success/verified, 1 invariant mismatch, 2 usage or
-parameter error, 3 declared infeasibility (strand threshold). Identical
+parameter error, 3 declared infeasibility (strand threshold), 4 internal
+error (an identity that must hold mathematically failed: a bug). Identical
 inputs produce byte-identical outputs; timing fields appear only with
 --timings so golden-file comparisons stay reproducible. The Jones strand
 threshold can be overridden with --jones-threshold or the environment
@@ -26,6 +27,7 @@ from .burau import alexander_from_braid, burau_generator, burau_of_word, BurauMa
 from .errors import (
     EmptyDiagram,
     ExpressionSyntaxError,
+    InternalInvariantViolation,
     NotAKnot,
     TooManyStrands,
     TwistsumError,
@@ -46,6 +48,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
+EXIT_INTERNAL = 4
 
 ENV_THRESHOLD = "TWISTSUM_JONES_THRESHOLD"
 
@@ -347,6 +350,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args, config)
+    except InternalInvariantViolation as exc:
+        return _fail(f"internal error: {exc}", EXIT_INTERNAL)
     except TwistsumError as exc:
         return _fail(str(exc), EXIT_USAGE)
 

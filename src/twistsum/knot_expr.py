@@ -28,6 +28,10 @@ Text grammar (whitespace-insensitive), used by the command-line front end:
            | "TT" "(" int "," int "," int "," int ")"
            | "Mirror" "(" expr ")"
            | "Sum" "(" expr (";" expr)* ")"
+
+Mirror and Sum nodes may nest at most MAX_DEPTH levels deep; deeper text is
+refused as a syntax error, so neither the parser nor the recursive folds over
+the tree can exhaust the interpreter's stack.
 """
 
 from __future__ import annotations
@@ -79,6 +83,8 @@ class Mirror:
 
 
 KnotExpression = Union[Torus, TwistedTorus, Sum, Mirror]
+
+MAX_DEPTH = 100
 
 UNKNOT = Torus(1, 1)
 
@@ -249,8 +255,10 @@ class _Parser:
         self.expect(")")
         return values
 
-    def expression(self) -> KnotExpression:
+    def expression(self, depth: int = 0) -> KnotExpression:
         start = self.pos
+        if depth > MAX_DEPTH:
+            raise ExpressionSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", start)
         name = self.word()
         try:
             if name == "T":
@@ -261,15 +269,15 @@ class _Parser:
                 return TwistedTorus(TwistedTorusParams(p, q, r, s))
             if name == "Mirror":
                 self.expect("(")
-                child = self.expression()
+                child = self.expression(depth + 1)
                 self.expect(")")
                 return Mirror(child)
             if name == "Sum":
                 self.expect("(")
-                children = [self.expression()]
+                children = [self.expression(depth + 1)]
                 while self.peek() == ";":
                     self.expect(";")
-                    children.append(self.expression())
+                    children.append(self.expression(depth + 1))
                 self.expect(")")
                 return Sum(tuple(children))
         except ValueError as exc:

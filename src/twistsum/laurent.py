@@ -249,6 +249,27 @@ def _wrap(terms: dict[int, int]) -> LaurentPoly:
     return p
 
 
+def _unpack(base: int, packed: int, width: int, stride: int) -> dict[int, int]:
+    """Terms of sum c_i t^(base + stride * i) from the Kronecker-packed integer sum c_i 2^(width * i).
+
+    Digits are read in balanced signed form from the lowest slot up, so the
+    decoding is unique when every coefficient c_i satisfies
+    |c_i| < 2^(width - 1). The result is a canonical terms dict for ``_wrap``.
+    """
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    terms = {}
+    while packed:
+        c = packed & mask
+        packed >>= width
+        if c >= half:
+            c -= 1 << width
+            packed += 1
+        if c:
+            terms[base] = c
+        base += stride
+    return terms
+
+
 def normalize_alexander(p: LaurentPoly) -> LaurentPoly:
     """Strip the unit +-t^k ambiguity from an Alexander polynomial.
 

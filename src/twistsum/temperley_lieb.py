@@ -87,7 +87,7 @@ from .errors import (
     NotAKnot,
     TooManyStrands,
 )
-from .laurent import LaurentPoly, _wrap
+from .laurent import LaurentPoly, _unpack, _wrap
 
 DEFAULT_STRAND_THRESHOLD = 12
 
@@ -294,22 +294,6 @@ def _pack(terms: dict[int, int], width: int) -> tuple[int, int]:
     return base, sum(c << ((e - base) >> 2) * width for e, c in terms.items())
 
 
-def _unpack(base: int, packed: int, width: int) -> dict[int, int]:
-    """Terms of A^base * P(A^4), reading P's balanced digits from the lowest slot up."""
-    mask, half = (1 << width) - 1, 1 << (width - 1)
-    terms = {}
-    while packed:
-        c = packed & mask
-        packed >>= width
-        if c >= half:
-            c -= 1 << width
-            packed += 1
-        if c:
-            terms[base] = c
-        base += 4
-    return terms
-
-
 def tl_apply_letter(
     vec: Mapping[NoncrossingMatching, LaurentPoly], letter: int, strands: int
 ) -> dict[NoncrossingMatching, LaurentPoly]:
@@ -333,7 +317,7 @@ def tl_apply_letter(
             width = (3 * max(abs(c) for c in terms.values())).bit_length() + 1
             stepped = _step({d: _pack(terms, width)}, letter, diagrams, width)
             for target, (base, packed) in stepped.items():
-                part = _wrap(_unpack(base + offset, packed, width))
+                part = _wrap(_unpack(base + offset, packed, width, 4))
                 out[target] = out.get(target, LaurentPoly.zero()) + part
     return {NoncrossingMatching(diagrams.pairings[t]): p for t, p in out.items() if p}
 
@@ -383,7 +367,7 @@ def kauffman_bracket(b: BraidWord, threshold: int | None = None) -> LaurentPoly:
         sums[m] = sums.get(m, 0) + (packed << (gap >> 2) * width)
     one_plus_x = 1 + (1 << width)
     total = sum((-1) ** m * s * one_plus_x ** m for m, s in sums.items())
-    return _wrap(_unpack(low + writhe(b), total, width))
+    return _wrap(_unpack(low + writhe(b), total, width, 4))
 
 
 def jones_from_braid(b: BraidWord, threshold: int | None = None) -> LaurentPoly:

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from twistsum.cli import EXIT_INFEASIBLE, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from twistsum.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from twistsum.knot_expr import MAX_DEPTH
 
 
 def run(capsys, *argv):
@@ -209,3 +210,42 @@ def test_selftest_runs_clean(capsys):
     assert obj["ok"] is True
     suites = {entry["suite"] for entry in obj["selftest"]}
     assert {"torus-alexander-oracle", "torus-jones-oracle", "catalan-basis"} <= suites
+
+
+def test_deep_nesting_is_a_syntax_error(capsys):
+    deep = "Mirror(" * 2000 + "T(2,3)" + ")" * 2000
+    code, out, err = run(capsys, "invariant", deep, "alexander")
+    assert code == EXIT_USAGE and out == ""
+    assert f"nested deeper than {MAX_DEPTH} levels" in err
+    nested_sums = "Sum(" * (MAX_DEPTH + 1) + "T(2,3)" + ")" * (MAX_DEPTH + 1)
+    code, _, err = run(capsys, "construct", nested_sums)
+    assert code == EXIT_USAGE and "nested deeper" in err
+
+
+def test_nesting_at_the_limit_still_evaluates(capsys):
+    spec = "Mirror(" * MAX_DEPTH + "T(2,3)" + ")" * MAX_DEPTH
+    code, out, _ = run(capsys, "invariant", spec, "alexander")
+    assert code == EXIT_OK
+    assert json.loads(out)["value"]["terms"] == [[0, "1"], [1, "-1"], [2, "1"]]
+
+
+def test_internal_error_exits_4(capsys, monkeypatch):
+    import twistsum.knot_expr as expr_mod
+    from twistsum import InternalInvariantViolation
+
+    def broken(word):
+        raise InternalInvariantViolation("forced failure")
+
+    monkeypatch.setattr(expr_mod, "alexander_from_braid", broken)
+    code, out, err = run(capsys, "invariant", "TT(9,5,7,-1)", "alexander")
+    assert code == EXIT_INTERNAL == 4
+    assert out == "" and "internal error: forced failure" in err
+
+
+def test_bareiss_remainder_guard_exits_4(capsys, monkeypatch):
+    import twistsum.burau as burau_mod
+
+    monkeypatch.setattr(burau_mod, "divmod", lambda a, b: (a // b, 1), raising=False)
+    code, out, err = run(capsys, "verify", "--a", "1", "--k1", "2", "--k2", "2")
+    assert code == EXIT_INTERNAL
+    assert out == "" and "non-exact division" in err
