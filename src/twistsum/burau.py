@@ -6,9 +6,10 @@ except in column i, which holds t at row i-1, -t at row i, and 1 at row i+1
 the same slots. Because a generator differs from the identity in one column
 only, right-multiplying an accumulated matrix by a generator updates a single
 column as a combination of its neighbours, so a word of length L costs
-O(L * n) polynomial operations instead of L dense matrix products. The
-columns are kept sparse, so a row whose entries in the three source columns
-are all zero costs nothing; on the family sweeps that is most rows.
+O(L * n) polynomial operations instead of L dense matrix products. Each
+column is one flat map from row << 32 | (exponent + 2^31) to a nonzero
+coefficient, so multiplying a column by t^+-1 adds +-1 to its keys, and a
+letter touches only the nonzero terms of three columns.
 
 The Alexander polynomial of the closure comes from the classical identity
 
@@ -19,17 +20,45 @@ ambiguity is removed by normalization. The determinant itself uses Bareiss
 fraction-free elimination after shifting each row to minimum exponent 0; the
 row shifts only change the determinant by a unit, which normalization absorbs.
 Cofactor expansion is useless at this scale: the (4, 5, 5) family member has
-51 strands, so the elimination runs on a 50x50 matrix.
+51 strands, so the elimination runs on a 50x50 matrix. That matrix is sparse:
+B - I has 144 nonzero entries out of 2500 (two diagonals and two dense rows),
+so the elimination holds rows as sparse {column: value} maps and never
+computes or stores a zero.
 
 Packed elimination. The elimination does not run on polynomials. Every entry
 of the row-shifted matrix is a polynomial in Z[t] and is replaced by its
-value at t = 2^W (Kronecker substitution), and the same pivoting Bareiss runs
-on those Python integers; only the final integer is decoded, in balanced
-digits of W bits. Evaluation at 2^W is a ring homomorphism from Z[t] to Z, so
-each step's difference of products is the value of prev * minor, where prev
-is the previous pivot and minor is the polynomial Bareiss would store, and
-its integer division by the value of prev is exact. A nonzero remainder can
-only mean the arithmetic itself went wrong, and raises.
+value at t = 2^W (Kronecker substitution), and Bareiss runs on those Python
+integers; only the final integer is decoded, in balanced digits of W bits.
+Evaluation at 2^W is a ring homomorphism from Z[t] to Z, so an identity
+num = d * q between polynomials holds between their values, and the integer
+division of num's value by d's value is exact and yields q's value. A
+nonzero remainder can only mean the arithmetic itself went wrong, and raises.
+
+Pivot rule. Columns are eliminated in their natural order. At step k the
+pivot is, among the remaining rows with a nonzero entry in column k, one whose
+entry has the smallest absolute value, ties going to the row with fewer
+nonzeros; on Burau matrices this is usually +-1. Moving it from position p
+among the remaining rows to their front is p adjacent swaps, each flipping
+the sign. Choosing the pivot row at each step is the same as running Bareiss
+without pivoting on the matrix whose rows are permuted into pivot order (the
+rows' relative order is otherwise kept), so every value below is that of the
+permuted matrix, whose determinant is +-det. Any nonzero entry is a valid
+pivot, so the rule affects only speed; if no remaining row has an entry in
+column k, the first k+1 columns are linearly dependent and det = 0.
+
+Lazy scaling. Bareiss step k (pivot p_k, previous pivot p_(k-1), p_(-1) = 1)
+replaces row i by (p_k * a_ij - a_ik * a_kj) / p_(k-1). For a row with
+a_ik = 0 that is a_ij * p_k / p_(k-1), so the factors telescope: a row last
+updated at step s and untouched through step k-1 holds S, while Bareiss would
+hold T = S * p_(k-1) / p_s. It is left alone until a step k finds it holds an
+entry in column k. If it is then the pivot row it is brought up to date as
+T; otherwise its update (p_k * T_j - T_k * a_kj) / p_(k-1) is computed as
+(p_k * S_j - S_k * a_kj) / p_s, which is the same value, with one exact
+division (none when s = -1). Candidate pivots are compared by their true
+values T_k. So every stored entry is an entry of the pivoting-free Bareiss
+run on the permuted matrix at some step s, and by Sylvester's identity that
+is the minor of the leading s+1 rows bordered by row i, column j: +- a minor
+of the row-shifted matrix. Every pivot and divisor is such a minor too.
 
 Width bound. Let H be the product over rows of the row's L1 norm, the sum of
 the absolute values of all coefficients of all its entries, and take
@@ -37,16 +66,18 @@ W = bit_length(H) + 2. The L1 norm of polynomials is subadditive and
 submultiplicative, so a k x k minor on a set R of rows, a signed sum over
 permutations of products of one entry per row, has L1 norm at most the
 product of the L1 norms of the rows in R, which is at most H because every
-nonzero integer row has norm at least 1. Every pivot, divisor and stored
-intermediate of Bareiss elimination is +- a minor of the row-shifted matrix
-(Sylvester's identity; a row swap only reorders rows), so each of its
-coefficients is at most H < 2^(W-2) in absolute value. A nonzero polynomial
+nonzero integer row has norm at least 1. By the two paragraphs above, every
+stored value, pivot and divisor is +- such a minor, so each of its
+coefficients is at most H < 2^(W-2) in absolute value. (The products formed
+on the way to a division are not minors, but they are never decoded or
+tested for zero: each is a divisor times a minor.) A nonzero polynomial
 whose coefficients are below 2^(W-1) in absolute value does not vanish at
-2^W, because its top term outweighs all the others together. So an integer
-pivot is zero exactly when the polynomial pivot is, the pivot choices are the
-ones elimination over polynomials makes, no divisor is zero, and the balanced
-digits of the final integer are the coefficients of the determinant. On the
-(a, k1, k2) <= (4, 5, 5) family sweep W is at most 64 bits.
+2^W, because its top term outweighs all the others together. So a stored
+integer is zero exactly when the polynomial is, sparsity and pivot
+candidates are the ones elimination over polynomials would see, no divisor
+is zero, and the balanced digits of the final pivot are the coefficients of
+the determinant. On the (a, k1, k2) <= (4, 5, 5) family sweep W is at most
+64 bits.
 """
 
 from __future__ import annotations
@@ -128,60 +159,77 @@ def burau_generator(n: int, letter: int) -> BurauMatrix:
     return BurauMatrix(tuple(tuple(row) for row in rows))
 
 
-def _add_column(new: dict, col: dict, shift: int, sign: int) -> None:
-    """new += sign * t^shift * col, for sparse columns {row: {exponent: coefficient}}.
-
-    Entries of ``new`` that cancel to zero are removed; an entry copied into
-    ``new`` is always a fresh dict, never one of ``col``'s.
-    """
-    for r, p in col.items():
-        acc = new.get(r)
-        if acc is None:
-            new[r] = {e + shift: sign * v for e, v in p.items()}
-            continue
-        for e, v in p.items():
-            e += shift
-            v = acc.get(e, 0) + sign * v
-            if v:
-                acc[e] = v
-            else:
-                del acc[e]
-        if not acc:
-            del new[r]
+# Column keys of burau_of_word: row << _ROW_SHIFT | (exponent + _EXP_OFFSET).
+_ROW_SHIFT = 32
+_EXP_OFFSET = 1 << 31
+_EXP_MASK = (1 << _ROW_SHIFT) - 1
 
 
 def burau_of_word(b: BraidWord) -> BurauMatrix:
     """Ordered product of generator images, via per-letter column updates."""
     if b.strands < 2:
         raise ValueError("reduced Burau needs at least 2 strands")
+    if len(b.letters) >= _EXP_OFFSET:
+        raise ValueError(f"words of 2^31 letters or more are not supported: got {len(b.letters)}")
     m = b.strands - 1
-    # The matrix is held by columns, each a sparse {row: {exponent: coefficient}}
-    # map that omits zero entries, and wrapped once at the end, so rows whose
-    # entries in columns c-1..c+1 are all zero are never visited.
-    cols: list[dict[int, dict[int, int]]] = [{j: {0: 1}} for j in range(m)]
+    # Each column is one flat {row << 32 | (exponent + 2^31): coefficient}
+    # map without zero coefficients; an exponent never leaves (-2^31, 2^31)
+    # because each letter moves it by at most one. Multiplying by t^+-1 adds
+    # +-1 to every key, so a letter costs one dict pass per source column.
+    cols = [{j << _ROW_SHIFT | _EXP_OFFSET: 1} for j in range(m)]
     for l in b.letters:
         c = abs(l) - 1
         # positive: col_c <- t*col_{c-1} - t*col_c + col_{c+1}
         # negative: col_c <- col_{c-1} - t^{-1}*col_c + t^{-1}*col_{c+1}
         left_shift, mid_shift, right_shift = (1, 1, 0) if l > 0 else (0, -1, -1)
-        col = cols[c]
-        for r, p in col.items():
-            col[r] = {e + mid_shift: -v for e, v in p.items()}
-        if c > 0:
-            _add_column(col, cols[c - 1], left_shift, 1)
-        if c + 1 < m:
-            _add_column(col, cols[c + 1], right_shift, 1)
+        new = {key + mid_shift: -v for key, v in cols[c].items()}
+        for src, shift in ((c - 1, left_shift), (c + 1, right_shift)):
+            if 0 <= src < m:
+                for key, v in cols[src].items():
+                    key += shift
+                    v += new.get(key, 0)
+                    if v:
+                        new[key] = v
+                    else:
+                        del new[key]
+        cols[c] = new
     rows = [[_ZERO] * m for _ in range(m)]
     for j, col in enumerate(cols):
-        for i, p in col.items():
-            rows[i][j] = _wrap(p)
+        cells: dict[int, dict[int, int]] = {}
+        for key, v in col.items():
+            r = key >> _ROW_SHIFT
+            terms = cells.get(r)
+            if terms is None:
+                terms = cells[r] = {}
+            terms[(key & _EXP_MASK) - _EXP_OFFSET] = v
+        for r, terms in cells.items():
+            rows[r][j] = _wrap(terms)
     return BurauMatrix(tuple(map(tuple, rows)))
+
+
+def _exact_div(num: int, divisor: int) -> int:
+    q, rem = divmod(num, divisor)
+    if rem:  # mathematically impossible
+        raise InternalInvariantViolation("Bareiss elimination hit a non-exact division")
+    return q
+
+
+def _catch_up(value: int, last: int | None, prev: int | None) -> int:
+    """value * prev / last: an entry stored by the step with pivot ``last``, brought up to date.
+
+    ``prev`` is the latest pivot; None stands for 1, the pivot before step 0.
+    """
+    if last == prev:
+        return value
+    value *= prev
+    return value if last is None else _exact_div(value, last)
 
 
 def _det_bareiss(rows: list[list[LaurentPoly]]) -> LaurentPoly:
     """Fraction-free determinant, up to a unit factor +-t^k (rows get unit-cleared).
 
-    Runs on the entries' values at t = 2^W; see the module docstring for W.
+    Runs on the entries' values at t = 2^W over sparse, lazily scaled rows;
+    see the module docstring for W, the pivot rule and the lazy scaling.
     """
     m = len(rows)
     if m == 0:
@@ -189,46 +237,54 @@ def _det_bareiss(rows: list[list[LaurentPoly]]) -> LaurentPoly:
     row_terms = []
     bound = 1
     for row in rows:
-        exps = [p.min_exp for p in row if p]
-        if not exps:
+        items = [(j, p.items()) for j, p in enumerate(row) if p]
+        if not items:
             return _ZERO
-        items = [p.items() for p in row]
-        bound *= sum(abs(c) for entry in items for _, c in entry)
-        row_terms.append((min(exps), items))
+        bound *= sum(abs(c) for _, terms in items for _, c in terms)
+        row_terms.append((min(terms[0][0] for _, terms in items), items))
     width = bound.bit_length() + 2
-    work = [
-        [sum(c << (e - shift) * width for e, c in entry) for entry in items]
+    # A remaining row is [entries, last]: a sparse {column: value} map as the
+    # step whose pivot was ``last`` left it (None before its first update).
+    # Remaining rows keep their original relative order.
+    active = [
+        [{j: sum(c << (e - shift) * width for e, c in terms) for j, terms in items}, None]
         for shift, items in row_terms
     ]
     sign = 1
-    prev = 1
-    for k in range(m - 1):
-        if not work[k][k]:
-            for i in range(k + 1, m):
-                if work[i][k]:
-                    work[k], work[i] = work[i], work[k]
-                    sign = -sign
-                    break
+    prev = None
+    for k in range(m):
+        best = None
+        for pos, (entries, last) in enumerate(active):
+            value = entries.get(k)
+            if value is None:
+                continue
+            value = _catch_up(value, last, prev)
+            key = (abs(value), len(entries))
+            if best is None or key < best[0]:
+                best = (key, pos, value)
+        if best is None:
+            return _ZERO
+        _, pos, pivot = best
+        if pos & 1:  # moving the pivot row to the front takes pos swaps
+            sign = -sign
+        entries, last = active.pop(pos)
+        del entries[k]
+        pivot_items = [(j, _catch_up(v, last, prev)) for j, v in entries.items()]
+        for row in active:
+            entries, last = row
+            left = entries.pop(k, None)
+            if left is None:
+                continue
+            num = {j: pivot * v for j, v in entries.items()}
+            for j, v in pivot_items:
+                num[j] = num.get(j, 0) - left * v
+            if last is None:
+                row[0] = {j: v for j, v in num.items() if v}
             else:
-                return _ZERO
-        pivot_row = work[k]
-        pivot = pivot_row[k]
-        for i in range(k + 1, m):
-            row = work[i]
-            left = row[k]
-            for j in range(k + 1, m):
-                num = row[j] * pivot - left * pivot_row[j]
-                if num and k:
-                    num, rem = divmod(num, prev)
-                    if rem:  # mathematically impossible
-                        raise InternalInvariantViolation(
-                            "Bareiss elimination hit a non-exact division"
-                        )
-                row[j] = num
-            row[k] = 0
+                row[0] = {j: _exact_div(v, last) for j, v in num.items() if v}
+            row[1] = pivot
         prev = pivot
-    result = work[m - 1][m - 1]
-    return _wrap(_unpack(0, -result if sign < 0 else result, width, 1))
+    return _wrap(_unpack(0, -prev if sign < 0 else prev, width, 1))
 
 
 def alexander_from_braid(b: BraidWord) -> LaurentPoly:

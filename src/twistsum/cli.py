@@ -3,7 +3,8 @@
 Commands: construct, invariant, verify, enumerate, selftest. Exit codes are
 stable across commands: 0 success/verified, 1 invariant mismatch, 2 usage or
 parameter error, 3 declared infeasibility (strand threshold), 4 internal
-error (an identity that must hold mathematically failed: a bug). Identical
+error (an identity that must hold mathematically failed: a bug; also running
+out of memory or an interrupt), each reported on one stderr line. Identical
 inputs produce byte-identical outputs; timing fields appear only with
 --timings so golden-file comparisons stay reproducible. The Jones strand
 threshold can be overridden with --jones-threshold or the environment
@@ -59,7 +60,6 @@ class CliConfig:
 
     output_format: str = "json"
     jones_threshold: int | None = None
-    level: str = "standard"
     seed: int = 0
 
 
@@ -345,13 +345,16 @@ def main(argv: list[str] | None = None) -> int:
     config = CliConfig(
         output_format=getattr(args, "output_format", "json"),
         jones_threshold=threshold,
-        level=getattr(args, "level", "standard"),
         seed=getattr(args, "seed", 0),
     )
     try:
         return args.func(args, config)
     except InternalInvariantViolation as exc:
         return _fail(f"internal error: {exc}", EXIT_INTERNAL)
+    except MemoryError:
+        return _fail("internal error: out of memory", EXIT_INTERNAL)
+    except KeyboardInterrupt:
+        return _fail("internal error: interrupted", EXIT_INTERNAL)
     except TwistsumError as exc:
         return _fail(str(exc), EXIT_USAGE)
 

@@ -37,7 +37,7 @@ class TooManyStrands(TwistsumError):
         self.basis_size = basis_size
 
 
-class ExponentNotDivisibleBy4(TwistsumError):
+class ExponentNotDivisibleBy4(InternalInvariantViolation):
     """Writhe-corrected bracket had an exponent not divisible by 4; convention bug detector."""
 
 

@@ -1,6 +1,7 @@
 """The packed-integer Bareiss determinant and the Alexander pipeline against an independent oracle."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,9 +9,12 @@ import twistsum.burau as burau
 from conftest import alexander_from_pd, det_cofactor, random_knot_word
 from twistsum import (
     BraidWord,
+    BurauMatrix,
     InternalInvariantViolation,
     LaurentPoly,
     alexander_from_braid,
+    burau_generator,
+    burau_of_word,
     closure_pd_code,
 )
 
@@ -135,3 +139,89 @@ def test_pd_matrix_oracle_on_known_knots():
     assert alexander_from_pd(closure_pd_code(BraidWord(2, (1, 1, 1)))) == P({0: 1, 1: -1, 2: 1})
     figure_eight = BraidWord(3, (1, -2, 1, -2))
     assert alexander_from_pd(closure_pd_code(figure_eight)) == P({0: -1, 1: 3, 2: -1})
+
+
+def test_random_sparse_matrices_match_cofactor_expansion():
+    rng = random.Random(41)
+    checked = 0
+    for _ in range(300):
+        m = rng.randint(2, 7)
+        density = rng.uniform(0.25, 0.35)
+        rows = [
+            [
+                P({rng.randint(-4, 4): rng.choice((-1, 1)) * rng.randint(1, 9)
+                   for _ in range(rng.randint(1, 3))})
+                if rng.random() < density else ZERO
+                for _ in range(m)
+            ]
+            for _ in range(m)
+        ]
+        if any(not any(row) for row in rows):
+            assert burau._det_bareiss(rows) == ZERO
+            continue
+        got = burau._det_bareiss(rows)
+        assert got == expected_det(rows), rows
+        checked += bool(got)
+    assert checked >= 40  # enough of them are nonsingular to test the sign
+
+
+def record_divisors(monkeypatch):
+    divisors = []
+    real_divmod = divmod
+
+    def spy(a, b):
+        divisors.append(b)
+        return real_divmod(a, b)
+
+    monkeypatch.setattr(burau, "divmod", spy, raising=False)
+    return divisors
+
+
+@pytest.mark.parametrize("stale_row_is_pivot", [True, False])
+def test_lazy_scaling_over_skipped_non_unit_pivots(monkeypatch, stale_row_is_pivot):
+    # The pivots of steps 0, 1, 2 are 2, 6 and 30. Row 4 is updated at step 0
+    # (pivot 2), has no entry in columns 1 and 2, and is touched again only
+    # at step 3, so it must be caught up over the pivots 6 and 30 it skipped.
+    # Its true entry in column 3 then is -3 * 30 / 2 = -45; row 3's is
+    # r * 30, so r = 2 makes row 4 the pivot and r = 1 makes row 3 it.
+    c = [P({0: v}) if v else ZERO for v in range(10)]
+    r = 2 if stale_row_is_pivot else 1
+    rows = [
+        [c[2], ZERO, ZERO, c[1], ZERO],
+        [ZERO, c[3], c[1], ZERO, ZERO],
+        [ZERO, ZERO, c[5], ZERO, c[1]],
+        [ZERO, ZERO, ZERO, c[r], c[1]],
+        [c[3], ZERO, ZERO, ZERO, c[1]],
+    ]
+    divisors = record_divisors(monkeypatch)
+    got = burau._det_bareiss(rows)
+    assert got and got == expected_det(rows)
+    # Only the caught-up row is divided, by the pivot it was last updated
+    # with; a dense elimination would also divide by the skipped 6 and 30.
+    assert divisors and set(divisors) == {2}
+
+
+def test_burau_of_long_words_matches_generator_products():
+    inverse_power = burau_of_word(BraidWord(2, (-1,) * 500))
+    assert inverse_power.entries == ((LaurentPoly.monomial(-500),),)
+    expected = BurauMatrix.identity(1)
+    for _ in range(500):
+        expected = expected @ burau_generator(2, -1)
+    assert inverse_power == expected
+    rng = random.Random(23)
+    for length in (200, 400):
+        letters = tuple(rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(length))
+        assert min(letters) < 0 < max(letters)
+        expected = BurauMatrix.identity(3)
+        for letter in letters:
+            expected = expected @ burau_generator(4, letter)
+        assert burau_of_word(BraidWord(4, letters)) == expected
+
+
+def test_burau_refuses_words_that_overflow_the_exponent_field():
+    class HugeLetters:  # stands in for a word of 2^31 letters without building it
+        def __len__(self):
+            return 2 ** 31
+
+    with pytest.raises(ValueError, match="2\\^31 letters"):
+        burau_of_word(SimpleNamespace(strands=3, letters=HugeLetters()))

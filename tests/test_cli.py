@@ -249,3 +249,36 @@ def test_bareiss_remainder_guard_exits_4(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--a", "1", "--k1", "2", "--k2", "2")
     assert code == EXIT_INTERNAL
     assert out == "" and "non-exact division" in err
+
+
+def test_exponent_not_divisible_by_4_exits_4(capsys, monkeypatch):
+    # A bracket whose writhe-corrected exponent is odd can only come from a
+    # convention bug, so the Jones layer's own check must surface as exit 4.
+    import twistsum.temperley_lieb as tl_mod
+    from twistsum import ExponentNotDivisibleBy4, InternalInvariantViolation, LaurentPoly
+
+    assert issubclass(ExponentNotDivisibleBy4, InternalInvariantViolation)
+    def odd_bracket(b, threshold=None):
+        return LaurentPoly({3 * tl_mod.writhe(b) + 1: 1})  # corrected exponent 1
+
+    monkeypatch.setattr(tl_mod, "kauffman_bracket", odd_bracket)
+    code, out, err = run(capsys, "invariant", "TT(9,5,7,-1)", "jones")
+    assert code == EXIT_INTERNAL
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: internal error: corrected bracket exponent")
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError, "error: internal error: out of memory\n"),
+    (KeyboardInterrupt, "error: internal error: interrupted\n"),
+])
+def test_memory_error_and_interrupt_exit_4(capsys, monkeypatch, exc, message):
+    import twistsum.knot_expr as expr_mod
+
+    def broken(word):
+        raise exc()
+
+    monkeypatch.setattr(expr_mod, "alexander_from_braid", broken)
+    code, out, err = run(capsys, "invariant", "TT(9,5,7,-1)", "alexander")
+    assert code == EXIT_INTERNAL
+    assert out == "" and err == message
