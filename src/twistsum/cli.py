@@ -4,7 +4,9 @@ Commands: construct, invariant, verify, enumerate, selftest. Exit codes are
 stable across commands: 0 success/verified, 1 invariant mismatch, 2 usage or
 parameter error, 3 declared infeasibility (strand threshold), 4 internal
 error (an identity that must hold mathematically failed: a bug; also running
-out of memory or an interrupt), each reported on one stderr line. Identical
+out of memory or an interrupt), each reported on one stderr line. The
+commands only return 0 or 1, or 2 for a parameter ValueError; every library
+error is mapped to its exit code at one boundary, in main. Identical
 inputs produce byte-identical outputs; timing fields appear only with
 --timings so golden-file comparisons stay reproducible. The Jones strand
 threshold can be overridden with --jones-threshold or the environment
@@ -19,20 +21,12 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
 from math import gcd
 
 from . import braid as braid_mod
 from . import temperley_lieb as tl
 from .burau import alexander_from_braid, burau_generator, burau_of_word, BurauMatrix
-from .errors import (
-    EmptyDiagram,
-    ExpressionSyntaxError,
-    InternalInvariantViolation,
-    NotAKnot,
-    TooManyStrands,
-    TwistsumError,
-)
+from .errors import InternalInvariantViolation, TooManyStrands, TwistsumError
 from .family import FamilyParams, LEVELS, family_enumerate, family_verify
 from .knot_expr import (
     expr_alexander,
@@ -54,15 +48,6 @@ EXIT_INTERNAL = 4
 ENV_THRESHOLD = "TWISTSUM_JONES_THRESHOLD"
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Resolved global options shared by the subcommands."""
-
-    output_format: str = "json"
-    jones_threshold: int | None = None
-    seed: int = 0
-
-
 def _resolve_threshold(flag_value: int | None, parser: argparse.ArgumentParser) -> int | None:
     value = flag_value
     if value is None and ENV_THRESHOLD in os.environ:
@@ -75,8 +60,8 @@ def _resolve_threshold(flag_value: int | None, parser: argparse.ArgumentParser) 
     return value
 
 
-def _emit(obj, config: CliConfig) -> None:
-    if config.output_format == "json":
+def _emit(obj, args) -> None:
+    if getattr(args, "output_format", "json") == "json":
         print(json.dumps(obj))
     else:
         _emit_text(obj)
@@ -106,21 +91,7 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _infeasible(exc: TooManyStrands, config: CliConfig) -> int:
-    _emit(
-        {
-            "error": "too-many-strands",
-            "reason": str(exc),
-            "strands": exc.strands,
-            "threshold": exc.threshold,
-            "basis_size": exc.basis_size,
-        },
-        config,
-    )
-    return EXIT_INFEASIBLE
-
-
-def cmd_construct(args, config: CliConfig) -> int:
+def cmd_construct(args) -> int:
     try:
         expr = parse_expression(args.spec)
         if args.format == "expr":
@@ -132,64 +103,57 @@ def cmd_construct(args, config: CliConfig) -> int:
             return EXIT_OK
         print(braid_mod.pd_code_to_text(braid_mod.closure_pd_code(word)))
         return EXIT_OK
-    except ExpressionSyntaxError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    except (ValueError, EmptyDiagram, NotAKnot) as exc:
+    except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
 
 
-def cmd_invariant(args, config: CliConfig) -> int:
+def cmd_invariant(args) -> int:
     try:
         expr = parse_expression(args.spec)
-    except (ExpressionSyntaxError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
-    try:
-        if args.which == "alexander":
-            value = expr_alexander(expr).to_json_obj()
-        elif args.which == "jones":
-            value = expr_jones(expr, config.jones_threshold).to_json_obj()
-        elif args.which == "determinant":
-            value = abs(expr_alexander(expr).eval_unit(-1))
-        else:
-            value = expr_alexander(expr).span
-    except TooManyStrands as exc:
-        return _infeasible(exc, config)
-    except NotAKnot as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    _emit({"expr": format_expression(expr), "invariant": args.which, "value": value}, config)
+    if args.which == "alexander":
+        value = expr_alexander(expr).to_json_obj()
+    elif args.which == "jones":
+        value = expr_jones(expr, args.jones_threshold).to_json_obj()
+    elif args.which == "determinant":
+        value = abs(expr_alexander(expr).eval_unit(-1))
+    else:
+        value = expr_alexander(expr).span
+    _emit({"expr": format_expression(expr), "invariant": args.which, "value": value}, args)
     return EXIT_OK
 
 
-def cmd_verify(args, config: CliConfig) -> int:
+def cmd_verify(args) -> int:
     try:
         params = FamilyParams(args.a, args.k1, args.k2)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
-    report = family_verify(params, args.level, config.jones_threshold)
-    _emit(report.to_json_obj(include_millis=args.timings), config)
+    report = family_verify(params, args.level, args.jones_threshold)
+    _emit(report.to_json_obj(include_millis=args.timings), args)
     return EXIT_MISMATCH if report.verdict == "mismatch" else EXIT_OK
 
 
-def cmd_enumerate(args, config: CliConfig) -> int:
+def cmd_enumerate(args) -> int:
     try:
         members = family_enumerate(args.a_max, args.k1_max, args.k2_max)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
     counts = {"pass": 0, "mismatch": 0, "skipped": 0}
     for fp in members:
-        report = family_verify(fp, args.level, config.jones_threshold)
+        report = family_verify(fp, args.level, args.jones_threshold)
         if report.verdict == "verified-at-level":
             counts["pass"] += 1
         elif report.verdict == "mismatch":
             counts["mismatch"] += 1
         else:
             counts["skipped"] += 1
-        _emit(report.to_json_obj(include_millis=args.timings), config)
-    _emit({"summary": counts}, config)
+        _emit(report.to_json_obj(include_millis=args.timings), args)
+    _emit({"summary": counts}, args)
     return EXIT_MISMATCH if counts["mismatch"] else EXIT_OK
 
 
-def _selftest_suites(config: CliConfig):
+def _selftest_suites(args):
     def torus_alexander_oracle() -> bool:
         for p in range(2, 8):
             for q in range(p + 1, 8):
@@ -203,7 +167,7 @@ def _selftest_suites(config: CliConfig):
     def torus_jones_oracle() -> bool:
         for p, q in ((2, 3), (2, 5), (2, 7), (3, 4), (3, 5)):
             braidword = braid_mod.torus_braid(p, q)
-            if tl.jones_from_braid(braidword, config.jones_threshold) != torus_jones_closed(p, q):
+            if tl.jones_from_braid(braidword, args.jones_threshold) != torus_jones_closed(p, q):
                 return False
         return True
 
@@ -236,7 +200,7 @@ def _selftest_suites(config: CliConfig):
         return True
 
     def markov_sample() -> bool:
-        rng = random.Random(config.seed)
+        rng = random.Random(args.seed)
         for _ in range(25):
             n = rng.randint(2, 5)
             while True:
@@ -248,14 +212,14 @@ def _selftest_suites(config: CliConfig):
                 if braid_mod.is_knot_closure(word):
                     break
             base_alex = alexander_from_braid(word)
-            base_jones = tl.jones_from_braid(word, config.jones_threshold)
+            base_jones = tl.jones_from_braid(word, args.jones_threshold)
             conj = rng.choice([s * i for s in (1, -1) for i in range(1, n)])
             conjugated = braid_mod.BraidWord(n, (conj,) + letters + (-conj,))
             stabilized = braid_mod.BraidWord(n + 1, letters + (rng.choice([n, -n]),))
             for moved in (conjugated, stabilized):
                 if alexander_from_braid(moved) != base_alex:
                     return False
-                if tl.jones_from_braid(moved, config.jones_threshold) != base_jones:
+                if tl.jones_from_braid(moved, args.jones_threshold) != base_jones:
                     return False
         return True
 
@@ -269,10 +233,10 @@ def _selftest_suites(config: CliConfig):
     ]
 
 
-def cmd_selftest(args, config: CliConfig) -> int:
+def cmd_selftest(args) -> int:
     results = []
     all_ok = True
-    for name, suite in _selftest_suites(config):
+    for name, suite in _selftest_suites(args):
         start = time.perf_counter()
         ok = suite()
         entry = {"suite": name, "ok": ok}
@@ -280,7 +244,7 @@ def cmd_selftest(args, config: CliConfig) -> int:
             entry["millis"] = round((time.perf_counter() - start) * 1000.0, 1)
         results.append(entry)
         all_ok = all_ok and ok
-    _emit({"selftest": results, "ok": all_ok}, config)
+    _emit({"selftest": results, "ok": all_ok}, args)
     return EXIT_OK if all_ok else EXIT_MISMATCH
 
 
@@ -341,14 +305,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    threshold = _resolve_threshold(getattr(args, "jones_threshold", None), parser)
-    config = CliConfig(
-        output_format=getattr(args, "output_format", "json"),
-        jones_threshold=threshold,
-        seed=getattr(args, "seed", 0),
-    )
+    args.jones_threshold = _resolve_threshold(getattr(args, "jones_threshold", None), parser)
     try:
-        return args.func(args, config)
+        return args.func(args)
+    except TooManyStrands as exc:
+        _emit({
+            "error": "too-many-strands",
+            "reason": str(exc),
+            "strands": exc.strands,
+            "threshold": exc.threshold,
+            "basis_size": exc.basis_size,
+        }, args)
+        return EXIT_INFEASIBLE
     except InternalInvariantViolation as exc:
         return _fail(f"internal error: {exc}", EXIT_INTERNAL)
     except MemoryError:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .errors import InternalInvariantViolation, TooManyStrands
 from .braid import TwistedTorusParams
@@ -217,61 +216,51 @@ def factor_equivalence_check(fp: FamilyParams) -> bool:
     return alex_equal and jones_equal
 
 
-def _run_checks(
+def _timed(invariant: str, compute) -> InvariantCheck:
+    """Compare the two sides ``compute`` returns, with the wall time it took.
+
+    A computation refused by the strand threshold becomes a skip record.
+    """
+    start = time.perf_counter()
+    try:
+        lhs, rhs = compute()
+        outcome = {"equal": lhs == rhs, "lhs": lhs, "rhs": rhs}
+    except TooManyStrands as exc:
+        outcome = {"equal": None, "lhs": None, "rhs": None, "skipped": True, "reason": str(exc)}
+    return InvariantCheck(invariant, **outcome, millis=(time.perf_counter() - start) * 1000.0)
+
+
+def _verify(
     lhs: KnotExpression,
     rhs: KnotExpression,
     level: str,
     jones_threshold: int | None,
-    genus_target: int | None,
-) -> list[InvariantCheck]:
-    checks: list[InvariantCheck] = []
-
-    start = time.perf_counter()
-    alex_l = expr_alexander(lhs)
-    alex_r = expr_alexander(rhs)
-    checks.append(InvariantCheck(
-        "alexander", alex_l == alex_r, alex_l, alex_r,
-        millis=(time.perf_counter() - start) * 1000.0,
-    ))
-
-    if level in ("standard", "full"):
-        start = time.perf_counter()
-        det_l, det_r = abs(alex_l.eval_unit(-1)), abs(alex_r.eval_unit(-1))
-        checks.append(InvariantCheck(
-            "determinant", det_l == det_r, det_l, det_r,
-            millis=(time.perf_counter() - start) * 1000.0,
+    genus_target: int | None = None,
+    params: FamilyParams | None = None,
+    derived: tuple[int, int, int, int] | None = None,
+) -> VerificationReport:
+    if level not in LEVELS:
+        raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
+    alex = _timed("alexander", lambda: (expr_alexander(lhs), expr_alexander(rhs)))
+    checks = [alex]
+    if level != "alexander":
+        alex_l, alex_r = alex.lhs, alex.rhs
+        checks.append(_timed(
+            "determinant", lambda: (abs(alex_l.eval_unit(-1)), abs(alex_r.eval_unit(-1)))
         ))
-        start = time.perf_counter()
-        span_l, span_r = alex_l.span, alex_r.span
-        checks.append(InvariantCheck(
-            "span", span_l == span_r, span_l, span_r,
-            millis=(time.perf_counter() - start) * 1000.0,
-        ))
+        checks.append(_timed("span", lambda: (alex_l.span, alex_r.span)))
         if genus_target is not None:
             checks.append(InvariantCheck(
-                "span_vs_genus", span_l == 2 * genus_target, span_l, 2 * genus_target,
+                "span_vs_genus", alex_l.span == 2 * genus_target, alex_l.span, 2 * genus_target,
             ))
-
     if level == "full":
-        start = time.perf_counter()
-        try:
-            jones_l = expr_jones(lhs, jones_threshold)
-            jones_r = expr_jones(rhs, jones_threshold)
-            checks.append(InvariantCheck(
-                "jones", jones_l == jones_r, jones_l, jones_r,
-                millis=(time.perf_counter() - start) * 1000.0,
-            ))
-        except TooManyStrands as exc:
-            checks.append(InvariantCheck(
-                "jones", None, None, None, skipped=True, reason=str(exc),
-                millis=(time.perf_counter() - start) * 1000.0,
-            ))
-
-    return checks
+        checks.append(_timed(
+            "jones", lambda: (expr_jones(lhs, jones_threshold), expr_jones(rhs, jones_threshold))
+        ))
+    return VerificationReport(lhs, rhs, level, tuple(checks), _verdict(checks), params, derived)
 
 
-def _verdict(checks: Iterable[InvariantCheck]) -> str:
-    checks = list(checks)
+def _verdict(checks: list[InvariantCheck]) -> str:
     if any(c.equal is False for c in checks):
         return "mismatch"
     if any(c.skipped for c in checks):
@@ -292,10 +281,7 @@ def verify_pair(
     polynomial where the strand threshold allows, recording a skip otherwise.
     The comparison is symmetric in its arguments at every level.
     """
-    if level not in LEVELS:
-        raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
-    checks = _run_checks(lhs, rhs, level, jones_threshold, genus_target=None)
-    return VerificationReport(lhs, rhs, level, tuple(checks), _verdict(checks))
+    return _verify(lhs, rhs, level, jones_threshold)
 
 
 def family_verify(
@@ -309,13 +295,9 @@ def family_verify(
     levels also compare the computed Alexander span against twice the genus of
     the right-hand side, which is known exactly for a sum of torus knots.
     """
-    if level not in LEVELS:
-        raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
     inst = family_instantiate(fp)
-    genus_target = expr_genus(inst.rhs) if level in ("standard", "full") else None
-    checks = _run_checks(inst.lhs, inst.rhs, level, jones_threshold, genus_target)
-    return VerificationReport(
-        inst.lhs, inst.rhs, level, tuple(checks), _verdict(checks),
+    return _verify(
+        inst.lhs, inst.rhs, level, jones_threshold, expr_genus(inst.rhs),
         params=fp, derived=(inst.p, inst.q, inst.r, inst.s),
     )
 

@@ -30,13 +30,14 @@ Text grammar (whitespace-insensitive), used by the command-line front end:
            | "Sum" "(" expr (";" expr)* ")"
 
 Mirror and Sum nodes may nest at most MAX_DEPTH levels deep; deeper text is
-refused as a syntax error, so neither the parser nor the recursive folds over
+refused as a syntax error, so neither the parser nor the recursive fold over
 the tree can exhaust the interpreter's stack.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import reduce
 from typing import Union
@@ -91,7 +92,7 @@ UNKNOT = Torus(1, 1)
 
 def torus_alexander_closed(p: int, q: int) -> LaurentPoly:
     """Normalized Alexander polynomial of the (p, q) torus knot, from the closed form."""
-    _check_torus(p, q)
+    Torus(p, q)  # refuses a zero or non-coprime pair with ValueError
     pp, qq = abs(p), abs(q)
     if pp == 1 or qq == 1:
         return LaurentPoly.one()
@@ -106,7 +107,7 @@ def torus_jones_closed(p: int, q: int) -> LaurentPoly:
     Orientation convention matches jones_from_braid on the positive torus
     braid; a single negative parameter is the mirror and applies t -> t^{-1}.
     """
-    _check_torus(p, q)
+    Torus(p, q)  # refuses a zero or non-coprime pair with ValueError
     pp, qq = abs(p), abs(q)
     if pp == 1 or qq == 1:
         return LaurentPoly.one()
@@ -116,26 +117,43 @@ def torus_jones_closed(p: int, q: int) -> LaurentPoly:
     return value if p * q > 0 else value.invert_var()
 
 
-def _check_torus(p: int, q: int) -> None:
-    if p == 0 or q == 0:
-        raise ValueError("torus parameters must be nonzero")
-    if math.gcd(abs(p), abs(q)) != 1:
-        raise ValueError(f"requires gcd(p, q) = 1: got p={p}, q={q}")
+def _fold(e: KnotExpression, torus, twisted, combine, mirror):
+    """The one dispatch over node kinds: fold the tree from the leaves up.
+
+    ``torus`` maps a Torus leaf, ``twisted`` a TwistedTorus leaf's params,
+    ``combine`` the list of a Sum's folded children and ``mirror`` a Mirror's
+    folded child. Callers name the pipelines and closed forms inside their own
+    bodies, so those module globals are looked up at each call and a patched
+    module attribute is honoured.
+    """
+    if isinstance(e, Torus):
+        return torus(e)
+    if isinstance(e, TwistedTorus):
+        return twisted(e.params)
+    if isinstance(e, Sum):
+        return combine([_fold(c, torus, twisted, combine, mirror) for c in e.children])
+    if isinstance(e, Mirror):
+        return mirror(_fold(e.child, torus, twisted, combine, mirror))
+    raise TypeError(f"not a knot expression: {e!r}")
+
+
+def _torus_braid(t: Torus) -> BraidWord:
+    sign = 1 if t.p * t.q > 0 else -1
+    return torus_braid(abs(t.p), sign * abs(t.q))
+
+
+def _twisted_braid(pr: TwistedTorusParams) -> BraidWord:
+    return twisted_torus_braid(pr.p, pr.q, pr.r, pr.s)
+
+
+def _product(values: list[LaurentPoly]) -> LaurentPoly:
+    return reduce(operator.mul, values)
 
 
 def expr_to_braid(e: KnotExpression) -> BraidWord:
     """Concrete braid presentation of an expression; closure realizes the knot."""
-    if isinstance(e, Torus):
-        sign = 1 if e.p * e.q > 0 else -1
-        return torus_braid(abs(e.p), sign * abs(e.q))
-    if isinstance(e, TwistedTorus):
-        pr = e.params
-        return twisted_torus_braid(pr.p, pr.q, pr.r, pr.s)
-    if isinstance(e, Sum):
-        return reduce(braid_connected_sum, (expr_to_braid(c) for c in e.children))
-    if isinstance(e, Mirror):
-        return braid_mirror(expr_to_braid(e.child))
-    raise TypeError(f"not a knot expression: {e!r}")
+    return _fold(e, _torus_braid, _twisted_braid,
+                 lambda words: reduce(braid_connected_sum, words), braid_mirror)
 
 
 def expr_alexander(e: KnotExpression) -> LaurentPoly:
@@ -145,16 +163,9 @@ def expr_alexander(e: KnotExpression) -> LaurentPoly:
     (normalization absorbs t -> t^{-1}), and twisted torus nodes delegate to
     the Burau pipeline.
     """
-    if isinstance(e, Torus):
-        return torus_alexander_closed(e.p, e.q)
-    if isinstance(e, TwistedTorus):
-        return alexander_from_braid(expr_to_braid(e))
-    if isinstance(e, Sum):
-        product = reduce(lambda a, b: a * b, (expr_alexander(c) for c in e.children))
-        return normalize_alexander(product)
-    if isinstance(e, Mirror):
-        return expr_alexander(e.child)
-    raise TypeError(f"not a knot expression: {e!r}")
+    return _fold(e, lambda t: torus_alexander_closed(t.p, t.q),
+                 lambda pr: alexander_from_braid(_twisted_braid(pr)),
+                 lambda polys: normalize_alexander(_product(polys)), lambda poly: poly)
 
 
 def expr_jones(e: KnotExpression, threshold: int | None = None) -> LaurentPoly:
@@ -163,15 +174,9 @@ def expr_jones(e: KnotExpression, threshold: int | None = None) -> LaurentPoly:
     TwistedTorus nodes go through the Temperley-Lieb pipeline and are subject
     to its strand threshold; TooManyStrands propagates to the caller.
     """
-    if isinstance(e, Torus):
-        return torus_jones_closed(e.p, e.q)
-    if isinstance(e, TwistedTorus):
-        return jones_from_braid(expr_to_braid(e), threshold)
-    if isinstance(e, Sum):
-        return reduce(lambda a, b: a * b, (expr_jones(c, threshold) for c in e.children))
-    if isinstance(e, Mirror):
-        return expr_jones(e.child, threshold).invert_var()
-    raise TypeError(f"not a knot expression: {e!r}")
+    return _fold(e, lambda t: torus_jones_closed(t.p, t.q),
+                 lambda pr: jones_from_braid(_twisted_braid(pr), threshold),
+                 _product, LaurentPoly.invert_var)
 
 
 def expr_genus(e: KnotExpression) -> int | None:
@@ -181,29 +186,15 @@ def expr_genus(e: KnotExpression) -> int | None:
     and survives mirroring; a TwistedTorus node that has not been decomposed
     carries no genus information here.
     """
-    if isinstance(e, Torus):
-        return (abs(e.p) - 1) * (abs(e.q) - 1) // 2
-    if isinstance(e, TwistedTorus):
-        return None
-    if isinstance(e, Sum):
-        parts = [expr_genus(c) for c in e.children]
-        return None if any(g is None for g in parts) else sum(parts)
-    if isinstance(e, Mirror):
-        return expr_genus(e.child)
-    raise TypeError(f"not a knot expression: {e!r}")
+    return _fold(e, lambda t: (abs(t.p) - 1) * (abs(t.q) - 1) // 2, lambda pr: None,
+                 lambda parts: None if None in parts else sum(parts), lambda g: g)
 
 
 def format_expression(e: KnotExpression) -> str:
-    if isinstance(e, Torus):
-        return f"T({e.p},{e.q})"
-    if isinstance(e, TwistedTorus):
-        pr = e.params
-        return f"TT({pr.p},{pr.q},{pr.r},{pr.s})"
-    if isinstance(e, Sum):
-        return "Sum(" + "; ".join(format_expression(c) for c in e.children) + ")"
-    if isinstance(e, Mirror):
-        return f"Mirror({format_expression(e.child)})"
-    raise TypeError(f"not a knot expression: {e!r}")
+    return _fold(e, lambda t: f"T({t.p},{t.q})",
+                 lambda pr: f"TT({pr.p},{pr.q},{pr.r},{pr.s})",
+                 lambda parts: "Sum(" + "; ".join(parts) + ")",
+                 lambda child: f"Mirror({child})")
 
 
 class _Parser:

@@ -282,3 +282,34 @@ def test_memory_error_and_interrupt_exit_4(capsys, monkeypatch, exc, message):
     code, out, err = run(capsys, "invariant", "TT(9,5,7,-1)", "alexander")
     assert code == EXIT_INTERNAL
     assert out == "" and err == message
+
+
+def test_timings_cover_every_check_including_a_skip(capsys, monkeypatch):
+    monkeypatch.delenv("TWISTSUM_JONES_THRESHOLD", raising=False)
+    argv = ["verify", "--a", "2", "--k1", "4", "--k2", "2", "--level", "full"]
+    code, out, _ = run(capsys, *argv, "--timings")
+    assert code == EXIT_OK
+    checks = json.loads(out)["checks"]
+    assert [c["invariant"] for c in checks] == [
+        "alexander", "determinant", "span", "span_vs_genus", "jones",
+    ]
+    assert all(isinstance(c["millis"], float) for c in checks)
+    assert list(checks[-1]) == ["invariant", "skipped", "reason", "millis"]
+    # the refused Jones still built its braid, so its time is not zero
+    assert checks[-1]["skipped"] is True and checks[-1]["millis"] > 0
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK and "millis" not in out
+
+
+def test_selftest_refused_by_threshold_exits_3(capsys):
+    # A strand threshold below the oracles' braids is a declared
+    # infeasibility, reported like any other refused Jones computation.
+    code, out, err = run(capsys, "selftest", "--jones-threshold", "2")
+    assert code == EXIT_INFEASIBLE and err == ""
+    assert json.loads(out) == {
+        "error": "too-many-strands",
+        "reason": "strands 3 exceeds threshold 2",
+        "strands": 3,
+        "threshold": 2,
+        "basis_size": 5,
+    }

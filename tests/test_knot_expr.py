@@ -179,3 +179,39 @@ def test_parse_errors_carry_position():
     # constructor violations surface as syntax errors with a position
     with pytest.raises(ExpressionSyntaxError, match="gcd"):
         parse_expression("T(2,2)")
+
+
+FOLDS = [expr_to_braid, expr_alexander, expr_jones, expr_genus, format_expression]
+
+
+@pytest.mark.parametrize("fold", FOLDS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("bad", [("T", 2, 3), Mirror(("T", 2, 3)), Sum((Torus(2, 3), "T(2,3)"))])
+def test_every_fold_refuses_a_non_expression(fold, bad):
+    with pytest.raises(TypeError, match="not a knot expression"):
+        fold(bad)
+
+
+def test_folds_call_the_closed_forms_through_module_attributes(monkeypatch):
+    # The benchmark tracer and the CLI tests patch these module attributes, so
+    # the folds must look them up at each call rather than bind them once.
+    import twistsum.knot_expr as knot_expr
+
+    calls = {"alexander": 0, "jones": 0}
+
+    def counting(kind, closed_form):
+        def wrapper(p, q):
+            calls[kind] += 1
+            return closed_form(p, q)
+        return wrapper
+
+    monkeypatch.setattr(knot_expr, "torus_alexander_closed",
+                        counting("alexander", knot_expr.torus_alexander_closed))
+    monkeypatch.setattr(knot_expr, "torus_jones_closed",
+                        counting("jones", knot_expr.torus_jones_closed))
+    expr = parse_expression("Sum(T(2,3); Mirror(T(3,4)))")
+    alex = expr_alexander(expr)
+    assert calls == {"alexander": 2, "jones": 0}
+    jones = expr_jones(expr)
+    assert calls == {"alexander": 2, "jones": 2}
+    assert alex == normalize_alexander(torus_alexander_closed(2, 3) * torus_alexander_closed(3, 4))
+    assert jones == torus_jones_closed(2, 3) * torus_jones_closed(3, 4).invert_var()
