@@ -10,7 +10,8 @@ error is mapped to its exit code at one boundary, in main. Identical
 inputs produce byte-identical outputs; timing fields appear only with
 --timings so golden-file comparisons stay reproducible. The Jones strand
 threshold can be overridden with --jones-threshold or the environment
-variable TWISTSUM_JONES_THRESHOLD (the flag wins).
+variable TWISTSUM_JONES_THRESHOLD (the flag wins); only the commands that
+take the flag read the variable.
 """
 
 from __future__ import annotations
@@ -305,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.jones_threshold = _resolve_threshold(getattr(args, "jones_threshold", None), parser)
+    if hasattr(args, "jones_threshold"):  # construct computes no Jones polynomial
+        args.jones_threshold = _resolve_threshold(args.jones_threshold, parser)
     try:
         return args.func(args)
     except TooManyStrands as exc:

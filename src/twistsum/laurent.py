@@ -179,7 +179,10 @@ class LaurentPoly:
         """Exact quotient in the Laurent ring; raises NotDivisible if a remainder arises.
 
         Both operands are shifted to minimum exponent 0, long division runs in
-        the ordinary polynomial ring, and the quotient is shifted back.
+        the ordinary polynomial ring, and the quotient is shifted back. Each
+        quotient term subtracts only the divisor's nonzero terms, so dividing
+        by a sparse divisor such as (t^p - 1)(t^q - 1) costs its term count,
+        not its degree, per quotient slot.
         """
         if not den._terms:
             raise ZeroDivisionError("division by the zero polynomial")
@@ -193,10 +196,8 @@ class LaurentPoly:
         num = [0] * (ndeg + 1)
         for e, c in self._terms.items():
             num[e - nmin] = c
-        dlist = [0] * (ddeg + 1)
-        for e, c in den._terms.items():
-            dlist[e - dmin] = c
-        dlead = dlist[ddeg]
+        dterms = [(e - dmin, c) for e, c in den._terms.items()]
+        dlead = den._terms[ddeg + dmin]
         quot = [0] * (ndeg - ddeg + 1)
         for k in range(ndeg - ddeg, -1, -1):
             lead = num[k + ddeg]
@@ -206,8 +207,8 @@ class LaurentPoly:
             if rem:
                 raise NotDivisible("leading coefficient does not divide")
             quot[k] = qc
-            for j in range(ddeg + 1):
-                num[k + j] -= qc * dlist[j]
+            for j, c in dterms:
+                num[k + j] -= qc * c
         if any(num):
             raise NotDivisible("nonzero remainder")
         return _wrap({k + nmin - dmin: c for k, c in enumerate(quot) if c})

@@ -16,6 +16,7 @@ from twistsum import (
     burau_generator,
     burau_of_word,
     closure_pd_code,
+    is_knot_closure,
 )
 
 P = LaurentPoly
@@ -225,3 +226,115 @@ def test_burau_refuses_words_that_overflow_the_exponent_field():
 
     with pytest.raises(ValueError, match="2\\^31 letters"):
         burau_of_word(SimpleNamespace(strands=3, letters=HugeLetters()))
+
+
+def generator_product(strands, letters):
+    expected = BurauMatrix.identity(strands - 1)
+    for letter in letters:
+        expected = expected @ burau_generator(strands, letter)
+    return expected
+
+
+@pytest.mark.parametrize("strands, letters", [
+    (5, (1, 2)),  # starts at column 0
+    (5, (3, 4)),  # ends at the last column
+    (5, (-2, -1)),  # ends at column 0
+    (5, (-4, -3)),  # starts at the last column
+    (5, (1, 2, 3, 4)),  # full length
+    (5, (-4, -3, -2, -1)),
+    (2, (1, -1, 1)),  # every run is a lone letter on the only column
+    (6, (2, 3, -4, -3, 1, 2, 3, 4, 5)),  # runs cut by sign changes
+    (5, (-2, -1, 1, 2)),  # -1 is not followed by 0, so the runs stay apart
+    (5, (1, 2, 3) * 4),  # repeated runs
+    (4, (1, 2, 3, -3, -2, -1)),  # (1,2,3) then (-3,-2,-1) cancel to the identity
+    (7, (2, 3, 4, 5, 2, 3, 4, 3, 4, 5, 6, -6, -5, -4, -3, -2, 3)),
+])
+def test_fused_runs_match_generator_products(strands, letters):
+    assert burau_of_word(BraidWord(strands, letters)) == generator_product(strands, letters)
+
+
+def random_run_word(rng, strands, runs):
+    letters = []
+    for _ in range(runs):
+        lo = rng.randint(1, strands - 1)
+        hi = rng.randint(lo, strands - 1)
+        run = list(range(lo, hi + 1))
+        letters += run if rng.random() < 0.5 else [-x for x in reversed(run)]
+    return BraidWord(strands, tuple(letters))
+
+
+def test_seeded_run_words_match_generator_products():
+    rng = random.Random(53)
+    for _ in range(60):
+        word = random_run_word(rng, rng.randint(2, 7), rng.randint(1, 8))
+        assert burau_of_word(word) == generator_product(word.strands, word.letters), word
+
+
+def test_alexander_of_run_words_matches_pd_matrix_oracle():
+    rng = random.Random(59)
+    checked = 0
+    while checked < 80:
+        word = random_run_word(rng, rng.randint(3, 7), rng.randint(2, 6))
+        if not is_knot_closure(word):
+            continue
+        assert alexander_from_braid(word) == alexander_from_pd(closure_pd_code(word)), word
+        checked += 1
+
+
+def constant_rows(values):
+    return [[P({0: v}) if v else ZERO for v in row] for row in values]
+
+
+# Each matrix below reaches one case of the per-entry update at its last
+# elimination step, where row 3 or row 4 (the "target") is updated with entry
+# S of tag s and left entry S_ik of tag s' (None: an input entry). Pivot order
+# is row order, so the pivots are 2, then 5 * 2 = 10 at step 1, and so on.
+# The expected divisors follow from the module docstring; a stale value is
+# never divided by a pivot it skipped unless both of its entries are stale.
+@pytest.mark.parametrize("values, divisors", [
+    # (s, s) = (2, 2): the target's columns 2 and 3 are both stored at step 0
+    # and skip step 1. Its candidate value -3 * 10 / 2 and its update both
+    # divide by 2; catching up first would also divide by 10.
+    ([[2, 0, 1, 3], [0, 5, 0, 0], [0, 0, 1, 1], [3, 0, 0, 0]], [2, 2]),
+    # (None, 2): column 3 is an input entry, the left entry has tag 2, so the
+    # update is 10 * 4 - (-3 * 10) / 2.
+    ([[2, 0, 1, 0], [0, 5, 0, 0], [0, 0, 1, 1], [3, 0, 0, 4]], [2, 2]),
+    # (2, None): the left entry is the input 4, so the update is
+    # (10 * -3) / 2 - 4 * 10, and the candidate value 4 * 10 needs no division.
+    ([[2, 0, 0, 1], [0, 5, 0, 0], [0, 0, 1, 1], [3, 0, 4, 0]], [2]),
+    # (2, 10) at step 3, previous pivot 30: the left entry (column 3, stored
+    # at step 1) is caught up by 10, the entry (column 4, stored at step 0)
+    # by 2, and the update is divided by 30.
+    ([[2, 0, 0, 0, 1], [0, 5, 0, 1, 0], [0, 0, 3, 0, 0], [0, 0, 0, 1, 1], [3, 7, 0, 0, 0]],
+     [2, 10, 30]),
+])
+def test_each_tag_case_matches_cofactor_expansion(monkeypatch, values, divisors):
+    rows = constant_rows(values)
+    recorded = record_divisors(monkeypatch)
+    got = burau._det_bareiss(rows)
+    assert got and got == expected_det(rows)
+    assert sorted(recorded) == divisors
+
+
+def arrow_rows(m):
+    # an upper bidiagonal (2 on the diagonal, 1 above it) whose last row is all 3
+    values = [[0] * m for _ in range(m)]
+    for i in range(m - 1):
+        values[i][i], values[i][i + 1] = 2, 1
+    values[m - 1] = [3] * m
+    return constant_rows(values)
+
+
+def test_arrow_matrix_divides_linearly_often(monkeypatch):
+    rows = arrow_rows(6)
+    assert burau._det_bareiss(rows) == expected_det(rows)
+    counts = {}
+    for m in (8, 16, 32, 64):
+        recorded = record_divisors(monkeypatch)
+        # expanding along the dense last row: each cofactor is 2^j times +-1
+        assert burau._det_bareiss(arrow_rows(m)) == P({0: (-1) ** (m - 1) * (1 - (-2) ** m)})
+        counts[m] = len(recorded)
+    # the dense row is touched at one new column per step, so the divisions
+    # grow like m; rescaling the whole dense row at each step would need
+    # about m^2 / 2 of them (1891 at m = 64)
+    assert all(counts[m] <= 2 * m for m in counts), counts

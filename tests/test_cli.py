@@ -313,3 +313,24 @@ def test_selftest_refused_by_threshold_exits_3(capsys):
         "threshold": 2,
         "basis_size": 5,
     }
+
+
+@pytest.mark.parametrize("value", ["abc", "1"])
+def test_construct_ignores_the_jones_threshold_variable(capsys, monkeypatch, value):
+    # construct computes no Jones polynomial, so a bad threshold is not its error
+    monkeypatch.setenv("TWISTSUM_JONES_THRESHOLD", value)
+    code, out, err = run(capsys, "construct", "T(2,3)")
+    assert (code, out.strip(), err) == (EXIT_OK, "2;1,1,1", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariant", "T(2,3)", "jones"],
+    ["invariant", "T(2,3)", "alexander"],
+    ["verify", "--a", "1", "--k1", "2", "--k2", "2"],
+])
+def test_commands_that_take_the_threshold_still_reject_a_bad_variable(capsys, monkeypatch, argv):
+    monkeypatch.setenv("TWISTSUM_JONES_THRESHOLD", "abc")
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == EXIT_USAGE
+    assert "TWISTSUM_JONES_THRESHOLD must be an integer" in capsys.readouterr().err

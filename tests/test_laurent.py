@@ -9,6 +9,7 @@ from twistsum import (
     equal_up_to_units,
     normalize_alexander,
 )
+from twistsum.knot_expr import torus_alexander_closed
 
 
 def lp(terms):
@@ -203,3 +204,29 @@ def test_to_text():
     assert lp({-1: 1, 1: 1}).to_text() == "t^-1 + t"
     assert lp({2: 3}).to_text() == "3*t^2"
     assert lp({2: -1, -2: -1}).to_text("A") == "-A^-2 - A^2"
+
+
+def test_closed_form_alexander_of_t_2_10001():
+    # The closed form divides by (t^2 - 1)(t^q - 1), four terms spanning
+    # q + 2 exponents; Alexander of T(2, q) is 1 - t + t^2 - ... + t^(q-1).
+    q = 10001
+    assert torus_alexander_closed(2, q) == lp({e: (-1) ** e for e in range(q)})
+
+
+def test_div_exact_inverts_mul_of_sparse_polys():
+    rng = random.Random(777)
+
+    def sparse(min_terms):
+        terms = {}
+        while len(terms) < min_terms:
+            terms[rng.randint(-500, 500)] = rng.choice((-1, 1)) * rng.randint(1, 2 ** 40)
+        return lp(terms)
+
+    for _ in range(100):
+        a, b = sparse(rng.randint(1, 5)), sparse(rng.randint(2, 5))
+        product = a * b
+        assert product.div_exact(b) == a
+        assert product.div_exact(a) == b
+        # b is no unit (it has two terms or more), so a stray monomial leaves a remainder
+        with pytest.raises(NotDivisible):
+            (product + lp({product.max_exp + 1: 1})).div_exact(b)
