@@ -25,12 +25,11 @@ from .errors import (
     TooManyStrands,
     TwistsumError,
 )
-from .laurent import LaurentPoly, equal_up_to_units, normalize_alexander
+from .laurent import LaurentPoly
 from .braid import (
     BraidWord,
     TwistedTorusParams,
     braid_connected_sum,
-    braid_from_text,
     braid_mirror,
     braid_permutation,
     braid_to_text,
@@ -41,48 +40,19 @@ from .braid import (
     twisted_torus_braid,
     writhe,
 )
-from .burau import (
-    BurauMatrix,
-    alexander_from_braid,
-    alexander_span,
-    burau_generator,
-    burau_of_word,
-    knot_determinant,
-)
-from .temperley_lieb import (
-    DEFAULT_STRAND_THRESHOLD,
-    LOOP_VALUE,
-    NoncrossingMatching,
-    catalan,
-    enumerate_matchings,
-    jones_from_braid,
-    kauffman_bracket,
-    tl_apply_letter,
-)
+from .burau import alexander_from_braid, alexander_span, knot_determinant
+from .temperley_lieb import jones_from_braid, kauffman_bracket
 from .knot_expr import (
-    KnotExpression,
     Mirror,
     Sum,
     Torus,
     TwistedTorus,
-    UNKNOT,
-    expr_alexander,
-    expr_genus,
-    expr_jones,
-    expr_to_braid,
     format_expression,
-    parse_expression,
     torus_alexander_closed,
     torus_jones_closed,
 )
 from .family import (
-    BunchCertificate,
-    CAVEAT,
-    FamilyInstance,
     FamilyParams,
-    InvariantCheck,
-    LEVELS,
-    VerificationReport,
     bunch_certificate,
     factor_equivalence_check,
     family_enumerate,
@@ -93,4 +63,28 @@ from .family import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The supported API: what the README, the demos and the benchmark use, plus
+# the error classes callers catch. Every other name is internal and is
+# imported from its submodule.
+__all__ = [
+    # errors
+    "EmptyDiagram", "ExponentNotDivisibleBy4", "ExpressionSyntaxError",
+    "InternalInvariantViolation", "NotAKnot", "NotAlexanderLike", "NotDivisible",
+    "TooManyStrands", "TwistsumError",
+    # laurent
+    "LaurentPoly",
+    # braid
+    "BraidWord", "TwistedTorusParams", "braid_connected_sum", "braid_mirror",
+    "braid_permutation", "braid_to_text", "closure_pd_code", "is_knot_closure",
+    "pd_code_to_text", "torus_braid", "twisted_torus_braid", "writhe",
+    # burau
+    "alexander_from_braid", "alexander_span", "knot_determinant",
+    # temperley_lieb
+    "jones_from_braid", "kauffman_bracket",
+    # knot_expr
+    "Mirror", "Sum", "Torus", "TwistedTorus", "format_expression", "torus_alexander_closed",
+    "torus_jones_closed",
+    # family
+    "FamilyParams", "bunch_certificate", "factor_equivalence_check", "family_enumerate",
+    "family_instantiate", "family_verify", "verify_pair",
+]

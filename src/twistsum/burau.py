@@ -184,7 +184,7 @@ class BurauMatrix:
         return BurauMatrix(tuple(out))
 
 
-def burau_generator(n: int, letter: int) -> BurauMatrix:
+def _burau_generator(n: int, letter: int) -> BurauMatrix:
     """Reduced Burau image of a single signed generator in the n-strand group."""
     if n < 2:
         raise ValueError(f"requires n >= 2: got n={n}")

@@ -4,7 +4,9 @@ Commands: construct, invariant, verify, enumerate, selftest. Exit codes are
 stable across commands: 0 success/verified, 1 invariant mismatch, 2 usage or
 parameter error, 3 declared infeasibility (strand threshold), 4 internal
 error (an identity that must hold mathematically failed: a bug; also running
-out of memory or an interrupt), each reported on one stderr line. The
+out of memory or an interrupt), each reported on one stderr line. That holds
+for the usage errors argparse detects too (a missing argument, an invalid
+choice, a bad threshold): one ``error: <message>`` line, no usage block. The
 commands only return 0 or 1, or 2 for a parameter ValueError; every library
 error is mapped to its exit code at one boundary, in main. Identical
 inputs produce byte-identical outputs; timing fields appear only with
@@ -26,7 +28,7 @@ from math import gcd
 
 from . import braid as braid_mod
 from . import temperley_lieb as tl
-from .burau import alexander_from_braid, burau_generator, burau_of_word, BurauMatrix
+from .burau import BurauMatrix, _burau_generator, alexander_from_braid
 from .errors import InternalInvariantViolation, TooManyStrands, TwistsumError
 from .family import FamilyParams, LEVELS, family_enumerate, family_verify
 from .knot_expr import (
@@ -174,29 +176,37 @@ def _selftest_suites(args):
 
     def catalan_basis() -> bool:
         expected = [1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
-        return all(
-            sum(1 for _ in tl.enumerate_matchings(n)) == expected[n - 1] == tl.catalan(n)
-            for n in range(1, 11)
-        )
+        for n in range(1, 11):
+            pairings = set(tl._enumerate_pairings(n))
+            if not len(pairings) == expected[n - 1] == tl.catalan(n):
+                return False
+            if not all(tl._is_noncrossing_pairing(p) for p in pairings):
+                return False
+        return True
 
     def burau_relations() -> bool:
         for n in range(3, 6):
             for i in range(1, n - 1):
-                a, b = burau_generator(n, i), burau_generator(n, i + 1)
+                a, b = _burau_generator(n, i), _burau_generator(n, i + 1)
                 if a @ b @ a != b @ a @ b:
                     return False
             for i in range(1, n):
-                if burau_generator(n, i) @ burau_generator(n, -i) != BurauMatrix.identity(n - 1):
+                if _burau_generator(n, i) @ _burau_generator(n, -i) != BurauMatrix.identity(n - 1):
                     return False
         return True
 
     def temperley_lieb_relations() -> bool:
+        # g_i g_i^-1 = g_i^-1 g_i = 1 and the braid relation, on every basis
+        # diagram, stepped by the kernel the bracket runs
         for n in range(2, 6):
-            vecs = [{m: LaurentPoly.one()} for m in tl.enumerate_matchings(n)]
-            for i in range(1, n):
-                for vec in vecs:
-                    back = tl.tl_apply_letter(tl.tl_apply_letter(vec, i, n), -i, n)
-                    if back != vec:
+            diagrams = tl._diagrams(n)
+            for d in [diagrams.intern(p) for p in tl._enumerate_pairings(n)]:
+                one = {d: LaurentPoly.one()}
+                for i in range(1, n):
+                    if tl._transfer(n, d, (i, -i)) != one or tl._transfer(n, d, (-i, i)) != one:
+                        return False
+                for i in range(1, n - 1):
+                    if tl._transfer(n, d, (i, i + 1, i)) != tl._transfer(n, d, (i + 1, i, i + 1)):
                         return False
         return True
 
@@ -249,8 +259,15 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if all_ok else EXIT_MISMATCH
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line, like every other error; subparsers inherit it."""
+
+    def error(self, message: str):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twistsum",
         description="Exact braid-closure knot invariants and twisted-torus-knot verification.",
     )

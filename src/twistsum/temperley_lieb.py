@@ -77,8 +77,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .braid import BraidWord, is_knot_closure, writhe
 from .errors import (
@@ -119,30 +118,12 @@ def _is_noncrossing_pairing(seq: tuple[int, ...]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class NoncrossingMatching:
-    """A perfect noncrossing matching of the 2n boundary points of a diagram."""
+def _enumerate_pairings(strands: int) -> Iterator[tuple[int, ...]]:
+    """All C(strands) noncrossing perfect matchings on 2*strands points, as pairings.
 
-    pairing: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "pairing", tuple(self.pairing))
-        if not self.pairing or not _is_noncrossing_pairing(self.pairing):
-            raise ValueError("not a noncrossing perfect matching")
-
-    @property
-    def strands(self) -> int:
-        return len(self.pairing) // 2
-
-    @classmethod
-    def identity(cls, strands: int) -> NoncrossingMatching:
-        return cls(_identity_pairing(strands))
-
-
-def enumerate_matchings(strands: int) -> Iterator[NoncrossingMatching]:
-    """All C(strands) noncrossing perfect matchings on 2*strands points."""
-    if strands < 1:
-        raise ValueError("strand count must be >= 1")
+    Built by recursion on the partner of the first free point, independently
+    of the transfer, so it serves as the reference for the Catalan basis.
+    """
     points = 2 * strands
     seq = [-1] * points
 
@@ -160,7 +141,7 @@ def enumerate_matchings(strands: int) -> Iterator[NoncrossingMatching]:
                 yield from fill(outer)
 
     for _ in fill(list(range(points))):
-        yield NoncrossingMatching(tuple(seq))
+        yield tuple(seq)
 
 
 def _cupcap(pairing: tuple[int, ...], j: int) -> tuple[tuple[int, ...], int]:
@@ -288,38 +269,24 @@ def _step(state: dict, letter: int, diagrams: _Diagrams, width: int) -> dict:
     return out
 
 
-def _pack(terms: dict[int, int], width: int) -> tuple[int, int]:
-    """(base, P) for terms whose exponents are all congruent mod 4."""
-    base = min(terms)
-    return base, sum(c << ((e - base) >> 2) * width for e, c in terms.items())
+def _transfer(strands: int, d: int, letters: tuple[int, ...]) -> dict[int, LaurentPoly]:
+    """Basis diagram ``d`` with coefficient 1, stepped through ``letters`` by ``_step``, decoded.
 
-
-def tl_apply_letter(
-    vec: Mapping[NoncrossingMatching, LaurentPoly], letter: int, strands: int
-) -> dict[NoncrossingMatching, LaurentPoly]:
-    """Apply the two-term skein expansion of one crossing to a diagram combination.
-
-    The input is arbitrary, so its exponents need not share a residue mod 4
-    within a diagram; each (diagram, residue) part is stepped on its own and
-    the results are summed.
+    The width is the one ``kauffman_bracket`` uses; its bound holds for the
+    state before closure too. The selftest and the tests check the relations
+    of the algebra through this function, so they are checked on the kernel
+    the bracket runs.
     """
-    if letter == 0 or abs(letter) > strands - 1:
-        raise ValueError(f"letter {letter} out of range for {strands} strands")
+    width = (3 ** len(letters)).bit_length() + strands + 1
     diagrams = _diagrams(strands)
-    offset = 1 if letter > 0 else -1
-    out: dict[int, LaurentPoly] = {}
-    for m, poly in vec.items():
-        d = diagrams.intern(m.pairing)
-        for residue in range(4):
-            terms = {e: c for e, c in poly.items() if e % 4 == residue}
-            if not terms:
-                continue
-            width = (3 * max(abs(c) for c in terms.values())).bit_length() + 1
-            stepped = _step({d: _pack(terms, width)}, letter, diagrams, width)
-            for target, (base, packed) in stepped.items():
-                part = _wrap(_unpack(base + offset, packed, width, 4))
-                out[target] = out.get(target, LaurentPoly.zero()) + part
-    return {NoncrossingMatching(diagrams.pairings[t]): p for t, p in out.items() if p}
+    state = {d: (0, 1)}
+    for letter in letters:
+        state = _step(state, letter, diagrams, width)
+    offset = sum(1 if letter > 0 else -1 for letter in letters)
+    return {
+        target: _wrap(_unpack(base + offset, packed, width, 4))
+        for target, (base, packed) in state.items()
+    }
 
 
 def _rotated(letters: tuple[int, ...]) -> tuple[int, ...]:

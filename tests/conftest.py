@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import random
 
-from twistsum import BraidWord, LaurentPoly, is_knot_closure, normalize_alexander
+from twistsum import BraidWord, LaurentPoly, is_knot_closure
+from twistsum.laurent import normalize_alexander
 
 DELTA = LaurentPoly({2: -1, -2: -1})
 

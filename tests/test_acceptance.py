@@ -13,7 +13,6 @@ from math import gcd
 from conftest import random_knot_word
 from twistsum import (
     BraidWord,
-    BurauMatrix,
     LaurentPoly,
     Mirror,
     Sum,
@@ -23,23 +22,21 @@ from twistsum import (
     alexander_from_braid,
     braid_connected_sum,
     bunch_certificate,
-    burau_generator,
-    catalan,
-    enumerate_matchings,
     factor_equivalence_check,
     family_enumerate,
     family_instantiate,
     family_verify,
     jones_from_braid,
-    normalize_alexander,
-    tl_apply_letter,
     torus_alexander_closed,
     torus_braid,
     torus_jones_closed,
     verify_pair,
     FamilyParams,
 )
+from twistsum.burau import BurauMatrix, _burau_generator
 from twistsum.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
+from twistsum.laurent import normalize_alexander
+from twistsum.temperley_lieb import _diagrams, _enumerate_pairings, _transfer, catalan
 
 
 def _verify_cli(capsys, *argv):
@@ -178,25 +175,22 @@ def test_criterion_6_property_suites():
     expected = [1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
     for n, want in zip(range(1, 11), expected):
         assert catalan(n) == want
-        assert sum(1 for _ in enumerate_matchings(n)) == want
+        assert sum(1 for _ in _enumerate_pairings(n)) == want
 
     # Braid relations and inverse identities for both generator actions, n <= 5.
     one = LaurentPoly.one()
     for n in range(2, 6):
-        gens = [burau_generator(n, i) for i in range(1, n)]
+        gens = [_burau_generator(n, i) for i in range(1, n)]
         for i in range(1, n):
-            assert burau_generator(n, i) @ burau_generator(n, -i) == BurauMatrix.identity(n - 1)
+            assert _burau_generator(n, i) @ _burau_generator(n, -i) == BurauMatrix.identity(n - 1)
         for i in range(len(gens) - 1):
             assert gens[i] @ gens[i + 1] @ gens[i] == gens[i + 1] @ gens[i] @ gens[i + 1]
-        basis = list(enumerate_matchings(n))
-        for m in basis:
-            vec = {m: one}
+        diagrams = _diagrams(n)
+        for d in [diagrams.intern(p) for p in _enumerate_pairings(n)]:
             for i in range(1, n):
-                assert tl_apply_letter(tl_apply_letter(vec, i, n), -i, n) == vec
+                assert _transfer(n, d, (i, -i)) == {d: one}
             for i in range(1, n - 1):
-                lhs = tl_apply_letter(tl_apply_letter(tl_apply_letter(vec, i, n), i + 1, n), i, n)
-                rhs = tl_apply_letter(tl_apply_letter(tl_apply_letter(vec, i + 1, n), i, n), i + 1, n)
-                assert lhs == rhs
+                assert _transfer(n, d, (i, i + 1, i)) == _transfer(n, d, (i + 1, i, i + 1))
 
     elapsed = time.perf_counter() - start
     print(f"PASS criterion 6: randomized Markov/multiplicativity/Catalan/relation suites ({elapsed:.1f}s)")

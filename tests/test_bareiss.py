@@ -9,15 +9,13 @@ import twistsum.burau as burau
 from conftest import alexander_from_pd, det_cofactor, random_knot_word
 from twistsum import (
     BraidWord,
-    BurauMatrix,
     InternalInvariantViolation,
     LaurentPoly,
     alexander_from_braid,
-    burau_generator,
-    burau_of_word,
     closure_pd_code,
     is_knot_closure,
 )
+from twistsum.burau import BurauMatrix, _burau_generator, burau_of_word
 
 P = LaurentPoly
 ZERO = LaurentPoly.zero()
@@ -207,7 +205,7 @@ def test_burau_of_long_words_matches_generator_products():
     assert inverse_power.entries == ((LaurentPoly.monomial(-500),),)
     expected = BurauMatrix.identity(1)
     for _ in range(500):
-        expected = expected @ burau_generator(2, -1)
+        expected = expected @ _burau_generator(2, -1)
     assert inverse_power == expected
     rng = random.Random(23)
     for length in (200, 400):
@@ -215,7 +213,7 @@ def test_burau_of_long_words_matches_generator_products():
         assert min(letters) < 0 < max(letters)
         expected = BurauMatrix.identity(3)
         for letter in letters:
-            expected = expected @ burau_generator(4, letter)
+            expected = expected @ _burau_generator(4, letter)
         assert burau_of_word(BraidWord(4, letters)) == expected
 
 
@@ -231,7 +229,7 @@ def test_burau_refuses_words_that_overflow_the_exponent_field():
 def generator_product(strands, letters):
     expected = BurauMatrix.identity(strands - 1)
     for letter in letters:
-        expected = expected @ burau_generator(strands, letter)
+        expected = expected @ _burau_generator(strands, letter)
     return expected
 
 

@@ -10,7 +10,6 @@ from twistsum import (
     NotAKnot,
     TwistedTorusParams,
     braid_connected_sum,
-    braid_from_text,
     braid_mirror,
     braid_permutation,
     braid_to_text,
@@ -22,6 +21,7 @@ from twistsum import (
     twisted_torus_braid,
     writhe,
 )
+from twistsum.braid import braid_from_text
 
 
 def test_braid_word_validation():

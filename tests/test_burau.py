@@ -6,48 +6,45 @@ import pytest
 from conftest import random_knot_word, random_word
 from twistsum import (
     BraidWord,
-    BurauMatrix,
     LaurentPoly,
     NotAKnot,
     alexander_from_braid,
     alexander_span,
     braid_connected_sum,
     braid_mirror,
-    burau_generator,
-    burau_of_word,
-    equal_up_to_units,
     knot_determinant,
-    normalize_alexander,
     torus_alexander_closed,
     torus_braid,
     twisted_torus_braid,
 )
+from twistsum.burau import BurauMatrix, _burau_generator, burau_of_word
+from twistsum.laurent import equal_up_to_units, normalize_alexander
 
 MINUS_T = LaurentPoly.monomial(1, -1)
 
 
 def test_generator_smallest_case():
-    g = burau_generator(2, 1)
+    g = _burau_generator(2, 1)
     assert g.dimension == 1
     assert g.entries[0][0] == MINUS_T
-    assert burau_generator(2, -1).entries[0][0] == LaurentPoly.monomial(-1, -1)
+    assert _burau_generator(2, -1).entries[0][0] == LaurentPoly.monomial(-1, -1)
 
 
 def test_generator_inverse_pairs():
     for n in range(2, 6):
         for i in range(1, n):
-            assert burau_generator(n, i) @ burau_generator(n, -i) == BurauMatrix.identity(n - 1)
-            assert burau_generator(n, -i) @ burau_generator(n, i) == BurauMatrix.identity(n - 1)
+            assert _burau_generator(n, i) @ _burau_generator(n, -i) == BurauMatrix.identity(n - 1)
+            assert _burau_generator(n, -i) @ _burau_generator(n, i) == BurauMatrix.identity(n - 1)
 
 
 def test_braid_relation_n3():
-    a, b = burau_generator(3, 1), burau_generator(3, 2)
+    a, b = _burau_generator(3, 1), _burau_generator(3, 2)
     assert a @ b @ a == b @ a @ b
 
 
 def test_braid_relations_through_n5():
     for n in range(3, 6):
-        gens = [burau_generator(n, i) for i in range(1, n)]
+        gens = [_burau_generator(n, i) for i in range(1, n)]
         for i in range(len(gens) - 1):
             assert gens[i] @ gens[i + 1] @ gens[i] == gens[i + 1] @ gens[i] @ gens[i + 1]
         for i in range(len(gens)):
@@ -57,11 +54,11 @@ def test_braid_relations_through_n5():
 
 def test_generator_rejects_bad_input():
     with pytest.raises(ValueError):
-        burau_generator(1, 1)
+        _burau_generator(1, 1)
     with pytest.raises(ValueError):
-        burau_generator(3, 3)
+        _burau_generator(3, 3)
     with pytest.raises(ValueError):
-        burau_generator(3, 0)
+        _burau_generator(3, 0)
 
 
 def test_burau_of_word_basics():
@@ -78,7 +75,7 @@ def test_burau_of_word_matches_generator_products():
         w = random_word(rng, n, rng.randint(0, 8))
         expected = BurauMatrix.identity(n - 1)
         for letter in w.letters:
-            expected = expected @ burau_generator(n, letter)
+            expected = expected @ _burau_generator(n, letter)
         assert burau_of_word(w) == expected
 
 

@@ -170,6 +170,29 @@ def test_bad_env_threshold(capsys, monkeypatch):
     assert info.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv, env", [
+    (["verify", "--a", "1"], None),
+    ([], None),
+    (["bogus"], None),
+    (["invariant", "T(2,3)", "nope"], None),
+    (["invariant", "T(2,3)", "jones", "--timings"], None),
+    (["invariant", "T(2,3)", "jones", "--jones-threshold", "1"], None),
+    (["invariant", "T(2,3)", "jones"], "plenty"),
+])
+def test_usage_error_is_one_stderr_line(capsys, monkeypatch, argv, env):
+    if env is None:
+        monkeypatch.delenv("TWISTSUM_JONES_THRESHOLD", raising=False)
+    else:
+        monkeypatch.setenv("TWISTSUM_JONES_THRESHOLD", env)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_text_format(capsys):
     code, out, _ = run(capsys, "invariant", "T(2,3)", "alexander", "--format", "text")
     assert code == EXIT_OK

@@ -33,12 +33,21 @@ CASES = {
     "verify-full-json": ["verify", *FAMILY_112],
     "verify-full-text": ["verify", *FAMILY_112, "--format", "text"],
     "verify-bad-params": ["verify", "--a", "0", "--k1", "2", "--k2", "2"],
+    "verify-missing-args": ["verify", "--a", "1"],
     "verify-full-skip": ["verify", "--a", "2", "--k1", "4", "--k2", "2", "--level", "full"],
     "enumerate-standard": ["enumerate", "--a-max", "2", "--k1-max", "3", "--k2-max", "3",
                            "--level", "standard"],
     "selftest-json": ["selftest", "--seed", "3"],
     "selftest-text": ["selftest", "--seed", "3", "--format", "text"],
 }
+
+
+def _run(argv: list[str]) -> int:
+    """The exit code of ``main``; argparse's usage errors leave it through SystemExit."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
 
 
 def _read(path: Path) -> str:
@@ -48,7 +57,7 @@ def _read(path: Path) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, capsys, monkeypatch):
     monkeypatch.delenv(ENV_THRESHOLD, raising=False)
-    code = main(list(CASES[name]))
+    code = _run(CASES[name])
     captured = capsys.readouterr()
     assert captured.out == _read(GOLDEN / f"{name}.out")
     assert captured.err == _read(GOLDEN / f"{name}.err")
@@ -66,7 +75,7 @@ def _write_fixtures() -> None:
     for name, argv in sorted(CASES.items()):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            codes[name] = main(list(argv))
+            codes[name] = _run(argv)
         (GOLDEN / f"{name}.out").write_bytes(out.getvalue().encode("utf-8"))
         (GOLDEN / f"{name}.err").write_bytes(err.getvalue().encode("utf-8"))
     (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")

@@ -3,7 +3,6 @@ from math import gcd
 import pytest
 
 from twistsum import (
-    CAVEAT,
     FamilyParams,
     Mirror,
     Sum,
@@ -18,6 +17,7 @@ from twistsum import (
     torus_alexander_closed,
     verify_pair,
 )
+from twistsum.family import CAVEAT
 
 
 def test_family_params_validation():

@@ -9,20 +9,22 @@ from twistsum import (
     TooManyStrands,
     TwistedTorus,
     TwistedTorusParams,
-    UNKNOT,
     braid_to_text,
-    expr_alexander,
-    expr_genus,
-    expr_jones,
-    expr_to_braid,
     format_expression,
     jones_from_braid,
-    normalize_alexander,
-    parse_expression,
     torus_alexander_closed,
     torus_braid,
     torus_jones_closed,
 )
+from twistsum.knot_expr import (
+    UNKNOT,
+    expr_alexander,
+    expr_genus,
+    expr_jones,
+    expr_to_braid,
+    parse_expression,
+)
+from twistsum.laurent import normalize_alexander
 
 TREFOIL_ALEX = LaurentPoly({0: 1, 1: -1, 2: 1})
 TREFOIL_JONES = LaurentPoly({1: 1, 3: 1, 4: -1})
@@ -116,7 +118,7 @@ def test_expr_genus():
 
 
 def test_expr_alexander_normalized_and_palindromic():
-    from twistsum import equal_up_to_units
+    from twistsum.laurent import equal_up_to_units
 
     expressions = [
         Torus(2, 3),

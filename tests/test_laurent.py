@@ -2,13 +2,8 @@ import random
 
 import pytest
 
-from twistsum import (
-    LaurentPoly,
-    NotAlexanderLike,
-    NotDivisible,
-    equal_up_to_units,
-    normalize_alexander,
-)
+from twistsum import LaurentPoly, NotAlexanderLike, NotDivisible
+from twistsum.laurent import equal_up_to_units, normalize_alexander
 from twistsum.knot_expr import torus_alexander_closed
 
 

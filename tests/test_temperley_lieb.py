@@ -8,24 +8,29 @@ from conftest import bracket_from_pd, random_knot_word
 from twistsum import (
     BraidWord,
     LaurentPoly,
-    LOOP_VALUE,
-    NoncrossingMatching,
     NotAKnot,
     TooManyStrands,
     braid_connected_sum,
     braid_mirror,
-    catalan,
     closure_pd_code,
-    enumerate_matchings,
     jones_from_braid,
     kauffman_bracket,
-    tl_apply_letter,
     torus_braid,
     torus_jones_closed,
     twisted_torus_braid,
 )
 from twistsum import temperley_lieb
-from twistsum.temperley_lieb import _cupcap, _identity_pairing, _rotated
+from twistsum.temperley_lieb import (
+    LOOP_VALUE,
+    _cupcap,
+    _diagrams,
+    _enumerate_pairings,
+    _identity_pairing,
+    _is_noncrossing_pairing,
+    _rotated,
+    _transfer,
+    catalan,
+)
 
 CATALAN_EXPECTED = [1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 
@@ -36,54 +41,54 @@ def test_catalan_numbers():
 
 def test_enumerate_matchings_counts():
     for n in range(1, 9):
-        matchings = list(enumerate_matchings(n))
-        assert len(matchings) == catalan(n)
-        assert len(set(matchings)) == len(matchings)
+        pairings = list(_enumerate_pairings(n))
+        assert len(pairings) == catalan(n)
+        assert len(set(pairings)) == len(pairings)
+        assert all(_is_noncrossing_pairing(p) for p in pairings)
 
 
 def test_matching_validation():
-    NoncrossingMatching((1, 0, 3, 2))
-    NoncrossingMatching((3, 2, 1, 0))
-    with pytest.raises(ValueError):
-        NoncrossingMatching((2, 3, 0, 1))  # crossing pairs
-    with pytest.raises(ValueError):
-        NoncrossingMatching((0, 1))  # fixed points
-    with pytest.raises(ValueError):
-        NoncrossingMatching((1, 0, 2))  # odd length
+    assert _is_noncrossing_pairing((1, 0, 3, 2))
+    assert _is_noncrossing_pairing((3, 2, 1, 0))
+    assert not _is_noncrossing_pairing((2, 3, 0, 1))  # crossing pairs
+    assert not _is_noncrossing_pairing((0, 1))  # fixed points
+    assert not _is_noncrossing_pairing((1, 0, 2))  # odd length
 
 
 def test_identity_matching():
-    assert NoncrossingMatching.identity(2).pairing == (3, 2, 1, 0)
-    assert NoncrossingMatching.identity(3).strands == 3
+    assert _identity_pairing(2) == (3, 2, 1, 0)
+    assert _is_noncrossing_pairing(_identity_pairing(3))
+
+
+def _basis_ids(n):
+    diagrams = _diagrams(n)
+    return [diagrams.intern(p) for p in _enumerate_pairings(n)]
 
 
 def test_apply_letter_on_identity():
-    one = LaurentPoly.one()
-    vec = {NoncrossingMatching.identity(2): one}
-    out = tl_apply_letter(vec, 1, 2)
-    assert out == {
-        NoncrossingMatching.identity(2): LaurentPoly.monomial(1),
-        NoncrossingMatching((1, 0, 3, 2)): LaurentPoly.monomial(-1),
+    cupcap = _diagrams(2).intern((1, 0, 3, 2))
+    assert _transfer(2, 0, (1,)) == {
+        0: LaurentPoly.monomial(1),
+        cupcap: LaurentPoly.monomial(-1),
     }
 
 
 def test_apply_letter_then_inverse_is_identity_action():
     one = LaurentPoly.one()
     for n in range(2, 5):
-        for m in enumerate_matchings(n):
-            vec = {m: one}
+        for d in _basis_ids(n):
             for i in range(1, n):
-                assert tl_apply_letter(tl_apply_letter(vec, i, n), -i, n) == vec
-                assert tl_apply_letter(tl_apply_letter(vec, -i, n), i, n) == vec
+                assert _transfer(n, d, (i, -i)) == {d: one}
+                assert _transfer(n, d, (-i, i)) == {d: one}
 
 
 def test_cup_cap_relations():
     # e_i e_i = delta e_i and e_i e_{i+-1} e_i = e_i, checked on every basis
     # diagram of the 3-strand algebra.
     n = 3
-    for m in enumerate_matchings(n):
+    for m in _enumerate_pairings(n):
         for i in (0, 1):
-            once, loops_once = _cupcap(m.pairing, i)
+            once, loops_once = _cupcap(m, i)
             twice, loops_twice = _cupcap(once, i)
             assert twice == once and loops_twice == 1
             for j in (i - 1, i + 1):
@@ -93,30 +98,11 @@ def test_cup_cap_relations():
                     assert back == once and l1 + l2 == 0
 
 
-def test_apply_letter_is_linear_over_mixed_exponents():
-    # A caller's coefficient may mix exponent residues mod 4 and carry large
-    # integers; the result must equal the sum over its monomials.
-    n = 4
-    poly = LaurentPoly({-7: 1, 0: 5, 1: -3, 2: 10**30, 6: -(2**70)})
-    for m in enumerate_matchings(n):
-        for letter in (1, -2, 3):
-            expected: dict = {}
-            for e, c in poly.items():
-                for k, v in tl_apply_letter({m: LaurentPoly.one()}, letter, n).items():
-                    expected[k] = expected.get(k, LaurentPoly.zero()) + v.shifted(e) * c
-            expected = {k: v for k, v in expected.items() if v}
-            assert tl_apply_letter({m: poly}, letter, n) == expected
-
-
 def test_apply_letter_braid_relation():
-    one = LaurentPoly.one()
     for n in range(3, 5):
-        for m in enumerate_matchings(n):
-            vec = {m: one}
+        for d in _basis_ids(n):
             for i in range(1, n - 1):
-                lhs = tl_apply_letter(tl_apply_letter(tl_apply_letter(vec, i, n), i + 1, n), i, n)
-                rhs = tl_apply_letter(tl_apply_letter(tl_apply_letter(vec, i + 1, n), i, n), i + 1, n)
-                assert lhs == rhs
+                assert _transfer(n, d, (i, i + 1, i)) == _transfer(n, d, (i + 1, i, i + 1))
 
 
 def test_bracket_base_cases():
@@ -264,8 +250,8 @@ def test_bracket_independent_of_table_state(monkeypatch):
     # ids assigned in another order: tables first filled from arbitrary diagrams
     monkeypatch.setattr(temperley_lieb, "_DIAGRAMS", {})
     for n in range(2, 7):
-        for m in list(enumerate_matchings(n))[::-3]:
-            tl_apply_letter({m: LaurentPoly.one()}, n - 1, n)
+        for pairing in list(_enumerate_pairings(n))[::-3]:
+            _transfer(n, _diagrams(n).intern(pairing), (n - 1,))
     assert [kauffman_bracket(w) for w in reversed(words)] == warm[::-1]
 
 
