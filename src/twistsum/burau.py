@@ -136,10 +136,6 @@ from .braid import BraidWord, is_knot_closure
 from .errors import InternalInvariantViolation, NotAKnot, NotAlexanderLike, NotDivisible
 from .laurent import LaurentPoly, _unpack, _wrap, normalize_alexander
 
-_T = LaurentPoly.monomial(1)
-_TINV = LaurentPoly.monomial(-1)
-_MINUS_T = LaurentPoly.monomial(1, -1)
-_MINUS_TINV = LaurentPoly.monomial(-1, -1)
 _ONE = LaurentPoly.one()
 _ZERO = LaurentPoly.zero()
 
@@ -155,56 +151,12 @@ class BurauMatrix:
         if any(len(row) != dim for row in self.entries):
             raise ValueError("matrix must be square")
 
-    @property
-    def dimension(self) -> int:
-        return len(self.entries)
-
     @classmethod
     def identity(cls, dimension: int) -> BurauMatrix:
         return cls(tuple(
             tuple(_ONE if i == j else _ZERO for j in range(dimension))
             for i in range(dimension)
         ))
-
-    def __matmul__(self, other: BurauMatrix) -> BurauMatrix:
-        if self.dimension != other.dimension:
-            raise ValueError("dimension mismatch")
-        dim = self.dimension
-        cols = list(zip(*other.entries))
-        out = []
-        for row in self.entries:
-            out_row = []
-            for col in cols:
-                acc = _ZERO
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(tuple(out_row))
-        return BurauMatrix(tuple(out))
-
-
-def _burau_generator(n: int, letter: int) -> BurauMatrix:
-    """Reduced Burau image of a single signed generator in the n-strand group."""
-    if n < 2:
-        raise ValueError(f"requires n >= 2: got n={n}")
-    if letter == 0 or abs(letter) > n - 1:
-        raise ValueError(f"letter {letter} out of range for {n} strands")
-    rows = [[_ONE if i == j else _ZERO for j in range(n - 1)] for i in range(n - 1)]
-    c = abs(letter) - 1
-    if letter > 0:
-        if c - 1 >= 0:
-            rows[c - 1][c] = _T
-        rows[c][c] = _MINUS_T
-        if c + 1 < n - 1:
-            rows[c + 1][c] = _ONE
-    else:
-        if c - 1 >= 0:
-            rows[c - 1][c] = _ONE
-        rows[c][c] = _MINUS_TINV
-        if c + 1 < n - 1:
-            rows[c + 1][c] = _TINV
-    return BurauMatrix(tuple(tuple(row) for row in rows))
 
 
 # Column keys of burau_of_word: row << _ROW_SHIFT | (exponent + _EXP_OFFSET).

@@ -4,7 +4,9 @@ Commands: construct, invariant, verify, enumerate, selftest. Exit codes are
 stable across commands: 0 success/verified, 1 invariant mismatch, 2 usage or
 parameter error, 3 declared infeasibility (strand threshold), 4 internal
 error (an identity that must hold mathematically failed: a bug; also running
-out of memory or an interrupt), each reported on one stderr line. That holds
+out of memory, an interrupt, or any other exception, such as a parameter too
+large for the interpreter to index with, reported as ``internal error:
+<Type>: <message>``), each reported on one stderr line. That holds
 for the usage errors argparse detects too (a missing argument, an invalid
 choice, a bad threshold): one ``error: <message>`` line, no usage block. The
 commands only return 0 or 1, or 2 for a parameter ValueError; every library
@@ -28,7 +30,7 @@ from math import gcd
 
 from . import braid as braid_mod
 from . import temperley_lieb as tl
-from .burau import BurauMatrix, _burau_generator, alexander_from_braid
+from .burau import BurauMatrix, alexander_from_braid, burau_of_word
 from .errors import InternalInvariantViolation, TooManyStrands, TwistsumError
 from .family import FamilyParams, LEVELS, family_enumerate, family_verify
 from .knot_expr import (
@@ -95,26 +97,20 @@ def _fail(message: str, code: int) -> int:
 
 
 def cmd_construct(args) -> int:
-    try:
-        expr = parse_expression(args.spec)
-        if args.format == "expr":
-            print(format_expression(expr))
-            return EXIT_OK
-        word = expr_to_braid(expr)
-        if args.format == "braid":
-            print(braid_mod.braid_to_text(word))
-            return EXIT_OK
-        print(braid_mod.pd_code_to_text(braid_mod.closure_pd_code(word)))
+    expr = parse_expression(args.spec)
+    if args.format == "expr":
+        print(format_expression(expr))
         return EXIT_OK
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    word = expr_to_braid(expr)
+    if args.format == "braid":
+        print(braid_mod.braid_to_text(word))
+        return EXIT_OK
+    print(braid_mod.pd_code_to_text(braid_mod.closure_pd_code(word)))
+    return EXIT_OK
 
 
 def cmd_invariant(args) -> int:
-    try:
-        expr = parse_expression(args.spec)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    expr = parse_expression(args.spec)
     if args.which == "alexander":
         value = expr_alexander(expr).to_json_obj()
     elif args.which == "jones":
@@ -175,23 +171,35 @@ def _selftest_suites(args):
         return True
 
     def catalan_basis() -> bool:
+        # the diagrams the transfer reaches from the identity are C(n)
+        # distinct noncrossing pairings
         expected = [1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
-        for n in range(1, 11):
-            pairings = set(tl._enumerate_pairings(n))
-            if not len(pairings) == expected[n - 1] == tl.catalan(n):
-                return False
-            if not all(tl._is_noncrossing_pairing(p) for p in pairings):
+        if [tl.catalan(n) for n in range(1, 11)] != expected:
+            return False
+        for n in range(1, 9):
+            ids = tl._basis(n)
+            pairings = {tl._diagrams(n).pairings[d] for d in ids}
+            if not (len(ids) == len(pairings) == expected[n - 1]
+                    and all(tl._is_noncrossing_pairing(p) for p in pairings)):
                 return False
         return True
 
     def burau_relations() -> bool:
+        # on the column updates the Alexander route runs. A positive braid
+        # relation sets a run of two letters and a lone letter against the
+        # lone letter and the run; a negative one sets three lone letters
+        # against a negative run and a lone letter.
+        def image(n: int, *letters: int) -> BurauMatrix:
+            return burau_of_word(braid_mod.BraidWord(n, letters))
+
         for n in range(3, 6):
             for i in range(1, n - 1):
-                a, b = _burau_generator(n, i), _burau_generator(n, i + 1)
-                if a @ b @ a != b @ a @ b:
-                    return False
+                for s in (1, -1):
+                    if image(n, s * i, s * (i + 1), s * i) != image(n, s * (i + 1), s * i, s * (i + 1)):
+                        return False
+            one = BurauMatrix.identity(n - 1)
             for i in range(1, n):
-                if _burau_generator(n, i) @ _burau_generator(n, -i) != BurauMatrix.identity(n - 1):
+                if image(n, i, -i) != one or image(n, -i, i) != one:
                     return False
         return True
 
@@ -199,8 +207,7 @@ def _selftest_suites(args):
         # g_i g_i^-1 = g_i^-1 g_i = 1 and the braid relation, on every basis
         # diagram, stepped by the kernel the bracket runs
         for n in range(2, 6):
-            diagrams = tl._diagrams(n)
-            for d in [diagrams.intern(p) for p in tl._enumerate_pairings(n)]:
+            for d in tl._basis(n):
                 one = {d: LaurentPoly.one()}
                 for i in range(1, n):
                     if tl._transfer(n, d, (i, -i)) != one or tl._transfer(n, d, (-i, i)) != one:
@@ -344,6 +351,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("internal error: interrupted", EXIT_INTERNAL)
     except TwistsumError as exc:
         return _fail(str(exc), EXIT_USAGE)
+    except Exception as exc:  # a bug, or an input the arithmetic cannot represent
+        return _fail(f"internal error: {type(exc).__name__}: {exc}", EXIT_INTERNAL)
 
 
 def console_entry() -> None:

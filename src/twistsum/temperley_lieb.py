@@ -77,7 +77,6 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Iterator
 
 from .braid import BraidWord, is_knot_closure, writhe
 from .errors import (
@@ -116,32 +115,6 @@ def _is_noncrossing_pairing(seq: tuple[int, ...]) -> bool:
         elif stack.pop() != i:
             return False
     return True
-
-
-def _enumerate_pairings(strands: int) -> Iterator[tuple[int, ...]]:
-    """All C(strands) noncrossing perfect matchings on 2*strands points, as pairings.
-
-    Built by recursion on the partner of the first free point, independently
-    of the transfer, so it serves as the reference for the Catalan basis.
-    """
-    points = 2 * strands
-    seq = [-1] * points
-
-    def fill(free: list[int]) -> Iterator[None]:
-        if not free:
-            yield None
-            return
-        first = free[0]
-        # The partner must leave an even number of points enclosed.
-        for idx in range(1, len(free), 2):
-            partner = free[idx]
-            seq[first], seq[partner] = partner, first
-            inner, outer = free[1:idx], free[idx + 1:]
-            for _ in fill(inner):
-                yield from fill(outer)
-
-    for _ in fill(list(range(points))):
-        yield tuple(seq)
 
 
 def _cupcap(pairing: tuple[int, ...], j: int) -> tuple[tuple[int, ...], int]:
@@ -227,6 +200,26 @@ def _diagrams(strands: int) -> _Diagrams:
     return table
 
 
+def _basis(strands: int) -> list[int]:
+    """Ids of every diagram reachable from the identity through the cup-cap tables ``_step`` reads.
+
+    The cup-caps generate the diagram algebra, so these are its C(strands)
+    basis diagrams. Table entries still missing are filled on the way.
+    """
+    diagrams = _diagrams(strands)
+    order, reached = [0], {0}
+    for d in order:  # grows while it is walked: a breadth-first search
+        for j, row in enumerate(diagrams.moves):
+            code = row[d]
+            if code < 0:
+                code = diagrams.move(j, d)
+            target = code >> 1
+            if target not in reached:
+                reached.add(target)
+                order.append(target)
+    return sorted(order)
+
+
 def _step(state: dict, letter: int, diagrams: _Diagrams, width: int) -> dict:
     """One letter of the transfer on packed coefficients ``{id: (base, P)}``.
 
@@ -269,19 +262,28 @@ def _step(state: dict, letter: int, diagrams: _Diagrams, width: int) -> dict:
     return out
 
 
-def _transfer(strands: int, d: int, letters: tuple[int, ...]) -> dict[int, LaurentPoly]:
-    """Basis diagram ``d`` with coefficient 1, stepped through ``letters`` by ``_step``, decoded.
+def _run(strands: int, d: int, letters: tuple[int, ...]) -> tuple[dict, _Diagrams, int]:
+    """Basis diagram ``d`` with coefficient 1, stepped through ``letters`` by ``_step``.
 
-    The width is the one ``kauffman_bracket`` uses; its bound holds for the
-    state before closure too. The selftest and the tests check the relations
-    of the algebra through this function, so they are checked on the kernel
-    the bracket runs.
+    Returns the packed state, the strand count's tables and the width
+    W = bit_length(3^L) + n + 1 it was stepped at; the width bound holds for
+    the state before closure too.
     """
     width = (3 ** len(letters)).bit_length() + strands + 1
     diagrams = _diagrams(strands)
     state = {d: (0, 1)}
     for letter in letters:
         state = _step(state, letter, diagrams, width)
+    return state, diagrams, width
+
+
+def _transfer(strands: int, d: int, letters: tuple[int, ...]) -> dict[int, LaurentPoly]:
+    """``_run``'s state decoded per diagram, the running offset included.
+
+    The selftest and the tests check the relations of the algebra through
+    this function, so they are checked on the kernel the bracket runs.
+    """
+    state, _, width = _run(strands, d, letters)
     offset = sum(1 if letter > 0 else -1 for letter in letters)
     return {
         target: _wrap(_unpack(base + offset, packed, width, 4))
@@ -315,11 +317,7 @@ def kauffman_bracket(b: BraidWord, threshold: int | None = None) -> LaurentPoly:
     limit = DEFAULT_STRAND_THRESHOLD if threshold is None else threshold
     if b.strands > limit:
         raise TooManyStrands(b.strands, limit, catalan(b.strands))
-    width = (3 ** len(b.letters)).bit_length() + b.strands + 1
-    diagrams = _diagrams(b.strands)
-    state = {0: (0, 1)}
-    for letter in _rotated(b.letters):
-        state = _step(state, letter, diagrams, width)
+    state, diagrams, width = _run(b.strands, 0, _rotated(b.letters))
     # Each diagram closes into closure[d] + 1 loops, a factor
     # delta^m = (-1)^m A^(-2m) (1 + x)^m with m = closure[d]. Terms are summed
     # per m on a common base, then multiplied by the packed (1 + x)^m.

@@ -10,16 +10,90 @@ same way: it builds the Alexander matrix of the diagram (one row per
 crossing, one column per arc) and takes a first minor by memoized cofactor
 expansion, sharing nothing with the Burau column updates or the Bareiss
 elimination.
+
+The dense reduced Burau generators and their matrix product, and the
+recursive enumeration of noncrossing pairings, are the reference algebra the
+pipelines' column updates and reachable Temperley-Lieb basis are compared
+against; the package runs neither.
 """
 
 from __future__ import annotations
 
 import random
+from typing import Iterator
 
 from twistsum import BraidWord, LaurentPoly, is_knot_closure
+from twistsum.burau import BurauMatrix
 from twistsum.laurent import normalize_alexander
 
 DELTA = LaurentPoly({2: -1, -2: -1})
+
+
+def burau_generator(n: int, letter: int) -> BurauMatrix:
+    """Reduced Burau image of a single signed generator in the n-strand group, as a dense matrix."""
+    if n < 2:
+        raise ValueError(f"requires n >= 2: got n={n}")
+    if letter == 0 or abs(letter) > n - 1:
+        raise ValueError(f"letter {letter} out of range for {n} strands")
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    rows = [[one if i == j else zero for j in range(n - 1)] for i in range(n - 1)]
+    c = abs(letter) - 1
+    # column c holds (t, -t, 1) for a positive letter, (1, -1/t, 1/t) for a negative one
+    above, diagonal, below = (
+        (LaurentPoly.monomial(1), LaurentPoly.monomial(1, -1), one) if letter > 0
+        else (one, LaurentPoly.monomial(-1, -1), LaurentPoly.monomial(-1))
+    )
+    if c - 1 >= 0:
+        rows[c - 1][c] = above
+    rows[c][c] = diagonal
+    if c + 1 < n - 1:
+        rows[c + 1][c] = below
+    return BurauMatrix(tuple(map(tuple, rows)))
+
+
+def burau_matmul(x: BurauMatrix, y: BurauMatrix) -> BurauMatrix:
+    """The matrix product x y, entry by entry."""
+    if len(x.entries) != len(y.entries):
+        raise ValueError("dimension mismatch")
+    cols = list(zip(*y.entries))
+    return BurauMatrix(tuple(
+        tuple(sum((a * b for a, b in zip(row, col) if a and b), LaurentPoly.zero()) for col in cols)
+        for row in x.entries
+    ))
+
+
+def generator_product(strands: int, letters) -> BurauMatrix:
+    """The ordered product of the generators' dense images: the reference for burau_of_word."""
+    product = BurauMatrix.identity(strands - 1)
+    for letter in letters:
+        product = burau_matmul(product, burau_generator(strands, letter))
+    return product
+
+
+def enumerate_pairings(strands: int) -> Iterator[tuple[int, ...]]:
+    """All C(strands) noncrossing perfect matchings on 2*strands points, as pairings.
+
+    Built by recursion on the partner of the first free point, independently
+    of the transfer's tables, so it serves as the reference for the basis.
+    """
+    points = 2 * strands
+    seq = [-1] * points
+
+    def fill(free: list[int]) -> Iterator[None]:
+        if not free:
+            yield None
+            return
+        first = free[0]
+        # The partner must leave an even number of points enclosed.
+        for idx in range(1, len(free), 2):
+            partner = free[idx]
+            seq[first], seq[partner] = partner, first
+            inner, outer = free[1:idx], free[idx + 1:]
+            for _ in fill(inner):
+                yield from fill(outer)
+
+    for _ in fill(list(range(points))):
+        yield tuple(seq)
 
 
 def bracket_from_pd(pd) -> LaurentPoly:

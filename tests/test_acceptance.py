@@ -10,7 +10,7 @@ import random
 import time
 from math import gcd
 
-from conftest import random_knot_word
+from conftest import enumerate_pairings, generator_product, random_knot_word
 from twistsum import (
     BraidWord,
     LaurentPoly,
@@ -33,10 +33,10 @@ from twistsum import (
     verify_pair,
     FamilyParams,
 )
-from twistsum.burau import BurauMatrix, _burau_generator
+from twistsum.burau import BurauMatrix
 from twistsum.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 from twistsum.laurent import normalize_alexander
-from twistsum.temperley_lieb import _diagrams, _enumerate_pairings, _transfer, catalan
+from twistsum.temperley_lieb import _diagrams, _transfer, catalan
 
 
 def _verify_cli(capsys, *argv):
@@ -175,18 +175,17 @@ def test_criterion_6_property_suites():
     expected = [1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
     for n, want in zip(range(1, 11), expected):
         assert catalan(n) == want
-        assert sum(1 for _ in _enumerate_pairings(n)) == want
+        assert sum(1 for _ in enumerate_pairings(n)) == want
 
     # Braid relations and inverse identities for both generator actions, n <= 5.
     one = LaurentPoly.one()
     for n in range(2, 6):
-        gens = [_burau_generator(n, i) for i in range(1, n)]
         for i in range(1, n):
-            assert _burau_generator(n, i) @ _burau_generator(n, -i) == BurauMatrix.identity(n - 1)
-        for i in range(len(gens) - 1):
-            assert gens[i] @ gens[i + 1] @ gens[i] == gens[i + 1] @ gens[i] @ gens[i + 1]
+            assert generator_product(n, (i, -i)) == BurauMatrix.identity(n - 1)
+        for i in range(1, n - 1):
+            assert generator_product(n, (i, i + 1, i)) == generator_product(n, (i + 1, i, i + 1))
         diagrams = _diagrams(n)
-        for d in [diagrams.intern(p) for p in _enumerate_pairings(n)]:
+        for d in [diagrams.intern(p) for p in enumerate_pairings(n)]:
             for i in range(1, n):
                 assert _transfer(n, d, (i, -i)) == {d: one}
             for i in range(1, n - 1):

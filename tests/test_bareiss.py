@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 import twistsum.burau as burau
-from conftest import alexander_from_pd, det_cofactor, random_knot_word
+from conftest import alexander_from_pd, det_cofactor, generator_product, random_knot_word
 from twistsum import (
     BraidWord,
     InternalInvariantViolation,
@@ -15,7 +15,7 @@ from twistsum import (
     closure_pd_code,
     is_knot_closure,
 )
-from twistsum.burau import BurauMatrix, _burau_generator, burau_of_word
+from twistsum.burau import burau_of_word
 
 P = LaurentPoly
 ZERO = LaurentPoly.zero()
@@ -203,18 +203,12 @@ def test_lazy_scaling_over_skipped_non_unit_pivots(monkeypatch, stale_row_is_piv
 def test_burau_of_long_words_matches_generator_products():
     inverse_power = burau_of_word(BraidWord(2, (-1,) * 500))
     assert inverse_power.entries == ((LaurentPoly.monomial(-500),),)
-    expected = BurauMatrix.identity(1)
-    for _ in range(500):
-        expected = expected @ _burau_generator(2, -1)
-    assert inverse_power == expected
+    assert inverse_power == generator_product(2, (-1,) * 500)
     rng = random.Random(23)
     for length in (200, 400):
         letters = tuple(rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(length))
         assert min(letters) < 0 < max(letters)
-        expected = BurauMatrix.identity(3)
-        for letter in letters:
-            expected = expected @ _burau_generator(4, letter)
-        assert burau_of_word(BraidWord(4, letters)) == expected
+        assert burau_of_word(BraidWord(4, letters)) == generator_product(4, letters)
 
 
 def test_burau_refuses_words_that_overflow_the_exponent_field():
@@ -224,13 +218,6 @@ def test_burau_refuses_words_that_overflow_the_exponent_field():
 
     with pytest.raises(ValueError, match="2\\^31 letters"):
         burau_of_word(SimpleNamespace(strands=3, letters=HugeLetters()))
-
-
-def generator_product(strands, letters):
-    expected = BurauMatrix.identity(strands - 1)
-    for letter in letters:
-        expected = expected @ _burau_generator(strands, letter)
-    return expected
 
 
 @pytest.mark.parametrize("strands, letters", [

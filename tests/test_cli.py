@@ -1,8 +1,11 @@
 import json
+import random
+from types import SimpleNamespace
 
 import pytest
 
-from twistsum.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from twistsum.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, _selftest_suites, main
+from twistsum.family import LEVELS
 from twistsum.knot_expr import MAX_DEPTH
 
 
@@ -235,6 +238,23 @@ def test_selftest_runs_clean(capsys):
     assert {"torus-alexander-oracle", "torus-jones-oracle", "catalan-basis"} <= suites
 
 
+def test_selftest_checks_the_kernels_the_pipelines_run(monkeypatch):
+    import twistsum.burau as burau_mod
+    import twistsum.temperley_lieb as tl_mod
+
+    real_apply_run = burau_mod._apply_run
+
+    def first_letter_of_each_run(cols, a, length, d):
+        real_apply_run(cols, a, 1, d)
+
+    monkeypatch.setattr(burau_mod, "_apply_run", first_letter_of_each_run)
+    monkeypatch.setattr(tl_mod, "_DIAGRAMS", {})
+    monkeypatch.setattr(tl_mod, "_cupcap", lambda pairing, j: (pairing, 1))
+    suites = dict(_selftest_suites(SimpleNamespace(seed=0, jones_threshold=None)))
+    assert not suites["burau-relations"]()
+    assert not suites["catalan-basis"]()
+
+
 def test_deep_nesting_is_a_syntax_error(capsys):
     deep = "Mirror(" * 2000 + "T(2,3)" + ")" * 2000
     code, out, err = run(capsys, "invariant", deep, "alexander")
@@ -357,3 +377,116 @@ def test_commands_that_take_the_threshold_still_reject_a_bad_variable(capsys, mo
         main(argv)
     assert info.value.code == EXIT_USAGE
     assert "TWISTSUM_JONES_THRESHOLD must be an integer" in capsys.readouterr().err
+
+
+# 10^20 + 1 is coprime to 2 and 3 and does not fit a machine word, so no
+# sequence of that length can even be requested.
+UNREPRESENTABLE = "100000000000000000001"
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", f"T(3,{UNREPRESENTABLE})"],
+    ["invariant", f"T(3,{UNREPRESENTABLE})", "alexander"],
+    ["construct", f"TT({UNREPRESENTABLE},2,3,-1)"],
+    ["invariant", f"TT({UNREPRESENTABLE},2,3,-1)", "jones"],
+])
+def test_unrepresentable_parameters_exit_4(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INTERNAL and out == ""
+    assert err.startswith("error: internal error: OverflowError: ") and err.count("\n") == 1
+
+
+def test_unexpected_exception_exits_4_with_its_type(capsys, monkeypatch):
+    import twistsum.knot_expr as expr_mod
+
+    def broken(word):
+        raise RuntimeError("forced failure")
+
+    monkeypatch.setattr(expr_mod, "alexander_from_braid", broken)
+    code, out, err = run(capsys, "invariant", "TT(9,5,7,-1)", "alexander")
+    assert (code, out, err) == (EXIT_INTERNAL, "", "error: internal error: RuntimeError: forced failure\n")
+
+
+def _contract_param(rng):
+    if rng.random() < 0.1:
+        return str(rng.choice((1, -1)) * (2 ** 63 + rng.randrange(2 ** 64)))
+    return str(rng.randint(-13, 13))
+
+
+def _contract_spec(rng, depth=2):
+    roll = rng.random()
+    if depth and roll < 0.15:
+        return f"Mirror({_contract_spec(rng, depth - 1)})"
+    if depth and roll < 0.3:
+        children = [_contract_spec(rng, depth - 1) for _ in range(rng.randint(1, 3))]
+        return "Sum(" + ";".join(children) + ")"
+    if roll < 0.6:
+        return f"T({_contract_param(rng)},{_contract_param(rng)})"
+    if roll < 0.8:
+        return "TT(" + ",".join(_contract_param(rng) for _ in range(4)) + ")"
+    r = rng.randint(2, 12)  # mostly valid twisted torus parameters
+    return f"TT({rng.randint(r + 1, 13)},{rng.randint(1, 13)},{r},{rng.randint(-13, 13)})"
+
+
+def _contract_text(rng):
+    roll = rng.random()
+    if roll < 0.15:  # nesting around the limit
+        depth = rng.randint(MAX_DEPTH - 1, MAX_DEPTH + 2)
+        node = rng.choice(("Mirror(", "Sum("))
+        return node * depth + "T(2,3)" + ")" * depth
+    spec = _contract_spec(rng)
+    if roll < 0.4:  # malformed: one character cut, swapped in, or truncated after
+        i = rng.randrange(len(spec))
+        spec = rng.choice((spec[:i] + spec[i + 1:], spec[:i] + rng.choice("(),;TMx-9 ") + spec[i + 1:],
+                           spec[:i]))
+    return spec
+
+
+def _contract_argv(rng):
+    # Jones runs only under a threshold of at most 7 strands, and enumerate
+    # only over small or refused boxes: mid-size inputs that are accepted
+    # still run for a long time.
+    threshold = ["--jones-threshold", str(rng.randint(2, 7))]
+    command = rng.choice(("construct", "invariant", "invariant", "verify", "enumerate", "usage"))
+    if command == "construct":
+        return ["construct", _contract_text(rng), "--format", rng.choice(("braid", "pd", "expr"))]
+    if command == "invariant":
+        which = rng.choice(("alexander", "jones", "determinant", "span"))
+        return ["invariant", _contract_text(rng), which, "--format", rng.choice(("json", "text"))] + threshold
+    level = ["--level", rng.choice(LEVELS)]
+    if command == "verify":
+        params = [str(rng.randint(1, 3)), str(rng.randint(2, 3)), str(rng.randint(2, 3))]
+        if rng.random() < 0.4:
+            params[rng.randrange(3)] = rng.choice((str(rng.randint(-1, 1)), _contract_param(rng)))
+        return ["verify", "--a", params[0], "--k1", params[1], "--k2", params[2]] + level + threshold
+    if command == "enumerate":
+        bounds = [str(rng.randint(1, 2)), str(rng.randint(2, 3)), str(rng.randint(2, 3))]
+        if rng.random() < 0.4:  # refused up front, however large the other bounds are
+            bounds[0] = str(2 ** 63 + rng.randrange(2 ** 64))
+            bounds[rng.randint(1, 2)] = str(rng.randint(-1, 1))
+        return ["enumerate", "--a-max", bounds[0], "--k1-max", bounds[1], "--k2-max", bounds[2]] + level + threshold
+    return rng.choice((
+        [], ["bogus"], ["invariant"], ["invariant", "T(2,3)", "genus"], ["verify", "--a", "x"],
+        ["construct", "T(2,3)", "--format", "svg"], ["selftest", "--seed", "x"],
+        ["invariant", "T(2,3)", "jones", "--jones-threshold", str(2 ** 63 + rng.randrange(2 ** 64))],
+        ["selftest", "--seed", str(rng.randrange(2 ** 70))] + threshold,
+    ))
+
+
+def test_cli_contract_on_seeded_argv(capsys, monkeypatch):
+    # Whatever the input, main ends with a contract exit code, at most one
+    # stderr line and no traceback.
+    monkeypatch.delenv("TWISTSUM_JONES_THRESHOLD", raising=False)
+    rng = random.Random(2024)
+    codes = set()
+    for _ in range(200):
+        argv = _contract_argv(rng)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in range(5), argv
+        assert err.count("\n") <= 1 and "Traceback" not in err, argv
+        codes.add(code)
+    assert {EXIT_OK, EXIT_USAGE, EXIT_INFEASIBLE, EXIT_INTERNAL} <= codes

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from conftest import bracket_from_pd, random_knot_word
+from conftest import bracket_from_pd, enumerate_pairings, random_knot_word
 from twistsum import (
     BraidWord,
     LaurentPoly,
@@ -22,9 +22,9 @@ from twistsum import (
 from twistsum import temperley_lieb
 from twistsum.temperley_lieb import (
     LOOP_VALUE,
+    _basis,
     _cupcap,
     _diagrams,
-    _enumerate_pairings,
     _identity_pairing,
     _is_noncrossing_pairing,
     _rotated,
@@ -41,10 +41,24 @@ def test_catalan_numbers():
 
 def test_enumerate_matchings_counts():
     for n in range(1, 9):
-        pairings = list(_enumerate_pairings(n))
+        pairings = list(enumerate_pairings(n))
         assert len(pairings) == catalan(n)
         assert len(set(pairings)) == len(pairings)
         assert all(_is_noncrossing_pairing(p) for p in pairings)
+
+
+@pytest.mark.parametrize("tables", ["shared", "cold"])
+def test_reachable_basis_is_every_noncrossing_pairing(monkeypatch, tables):
+    if tables == "cold":
+        monkeypatch.setattr(temperley_lieb, "_DIAGRAMS", {})
+    for n in range(1, 9):
+        ids = _basis(n)
+        assert ids[0] == 0 and len(set(ids)) == len(ids) == catalan(n)
+        pairings = _diagrams(n).pairings
+        assert {pairings[d] for d in ids} == set(enumerate_pairings(n))
+        # every table entry of the basis is filled, and stays inside it
+        basis = set(ids)
+        assert all(0 <= row[d] and row[d] >> 1 in basis for row in _diagrams(n).moves for d in ids)
 
 
 def test_matching_validation():
@@ -62,7 +76,7 @@ def test_identity_matching():
 
 def _basis_ids(n):
     diagrams = _diagrams(n)
-    return [diagrams.intern(p) for p in _enumerate_pairings(n)]
+    return [diagrams.intern(p) for p in enumerate_pairings(n)]
 
 
 def test_apply_letter_on_identity():
@@ -86,7 +100,7 @@ def test_cup_cap_relations():
     # e_i e_i = delta e_i and e_i e_{i+-1} e_i = e_i, checked on every basis
     # diagram of the 3-strand algebra.
     n = 3
-    for m in _enumerate_pairings(n):
+    for m in enumerate_pairings(n):
         for i in (0, 1):
             once, loops_once = _cupcap(m, i)
             twice, loops_twice = _cupcap(once, i)
@@ -250,7 +264,7 @@ def test_bracket_independent_of_table_state(monkeypatch):
     # ids assigned in another order: tables first filled from arbitrary diagrams
     monkeypatch.setattr(temperley_lieb, "_DIAGRAMS", {})
     for n in range(2, 7):
-        for pairing in list(_enumerate_pairings(n))[::-3]:
+        for pairing in list(enumerate_pairings(n))[::-3]:
             _transfer(n, _diagrams(n).intern(pairing), (n - 1,))
     assert [kauffman_bracket(w) for w in reversed(words)] == warm[::-1]
 
