@@ -6,10 +6,11 @@ except in column i, which holds t at row i-1, -t at row i, and 1 at row i+1
 the same slots. Because a generator differs from the identity in one column
 only, right-multiplying an accumulated matrix by a generator updates a single
 column as a combination of its neighbours, so a word of length L costs
-O(L * n) polynomial operations instead of L dense matrix products. Each
-column is one flat map from row << 32 | (exponent + 2^31) to a nonzero
-coefficient, so multiplying a column by t^e adds e to its keys, and a letter
-touches only the nonzero terms of three columns.
+O(L * n) polynomial operations instead of L dense matrix products. With
+m = n - 1 rows, each column is one flat map from exponent * m + row to a
+nonzero coefficient: multiplying a column by t^e adds e * m to its keys, floor
+division and remainder by m give back the exponent (of either sign) and the
+row, and a letter touches only the nonzero terms of three columns.
 
 Runs. The letters of a word are applied in maximal runs, each letter one more
 than the one before: positive runs i+1, i+2, ..., k+1 act on the ascending
@@ -159,14 +160,8 @@ class BurauMatrix:
         ))
 
 
-# Column keys of burau_of_word: row << _ROW_SHIFT | (exponent + _EXP_OFFSET).
-_ROW_SHIFT = 32
-_EXP_OFFSET = 1 << 31
-_EXP_MASK = (1 << _ROW_SHIFT) - 1
-
-
 def _add_shifted(target: dict[int, int], source: dict[int, int], shift: int) -> None:
-    """target += t^shift * source, in place, keeping target free of zeros."""
+    """target += t^e * source for shift = e * m, in place, keeping target free of zeros."""
     get = target.get
     for key, v in source.items():
         key += shift
@@ -185,18 +180,19 @@ def _apply_run(cols: list[dict[int, int]], a: int, length: int, d: int) -> None:
     it is also the exponent of t in the run's common difference.
     """
     m = len(cols)
-    diff = {key + d: -v for key, v in cols[a].items()}
+    shift = d * m  # multiplies a column by t^d
+    diff = {key + shift: -v for key, v in cols[a].items()}
     if 0 <= a - d < m:
-        _add_shifted(diff, cols[a - d], d)
+        _add_shifted(diff, cols[a - d], shift)
     last = diff
     if length > 1:  # a lone letter, the common case in random words, skips the loop
         # the column each letter reads from its far side is used by no later
         # letter of the run, so its dict becomes the new column in place
         for r in range(length - 1):
             col = cols[a + d * (r + 1)]
-            _add_shifted(col, diff, d * r)
+            _add_shifted(col, diff, shift * r)
             cols[a + d * r] = col
-        last = {key + d * (length - 1): v for key, v in diff.items()}
+        last = {key + shift * (length - 1): v for key, v in diff.items()}
     if 0 <= a + d * length < m:
         _add_shifted(last, cols[a + d * length], 0)
     cols[a + d * (length - 1)] = last
@@ -206,14 +202,10 @@ def burau_of_word(b: BraidWord) -> BurauMatrix:
     """Ordered product of generator images, via column updates fused over runs of letters."""
     if b.strands < 2:
         raise ValueError("reduced Burau needs at least 2 strands")
-    if len(b.letters) >= _EXP_OFFSET:
-        raise ValueError(f"words of 2^31 letters or more are not supported: got {len(b.letters)}")
     m = b.strands - 1
-    # Each column is one flat {row << 32 | (exponent + 2^31): coefficient}
-    # map without zero coefficients. Every stored column equals the one the
-    # letter-by-letter product holds after the same letters, so an exponent
-    # never leaves (-2^31, 2^31); multiplying by t^e adds e to every key.
-    cols = [{j << _ROW_SHIFT | _EXP_OFFSET: 1} for j in range(m)]
+    # Each column is one flat {exponent * m + row: coefficient} map without
+    # zero coefficients; column j of the identity is t^0 at row j.
+    cols = [{j: 1} for j in range(m)]
     letters = b.letters
     total = len(letters)
     start = 0
@@ -228,11 +220,11 @@ def burau_of_word(b: BraidWord) -> BurauMatrix:
     for j, col in enumerate(cols):
         cells: dict[int, dict[int, int]] = {}
         for key, v in col.items():
-            r = key >> _ROW_SHIFT
+            r = key % m
             terms = cells.get(r)
             if terms is None:
                 terms = cells[r] = {}
-            terms[(key & _EXP_MASK) - _EXP_OFFSET] = v
+            terms[key // m] = v
         for r, terms in cells.items():
             rows[r][j] = _wrap(terms)
     return BurauMatrix(tuple(map(tuple, rows)))

@@ -282,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", dest="output_format", choices=("json", "text"),
                         default="json", help="output format (default json)")
     common.add_argument("--jones-threshold", type=int, default=None,
-                        help="strand threshold for Jones computations (default 12)")
+                        help="strand threshold for Jones computations "
+                             f"(default {tl.DEFAULT_STRAND_THRESHOLD})")
     # only the commands whose reports carry wall-time fields take --timings
     timed = argparse.ArgumentParser(add_help=False)
     timed.add_argument("--timings", action="store_true",

@@ -27,10 +27,11 @@ class TooManyStrands(TwistsumError):
     """Bracket computation refused: the diagram basis would be too large.
 
     Carries ``strands``, ``threshold`` and ``basis_size`` (the Catalan number
-    of the strand count) so callers can report why the computation was skipped.
+    of the strand count, or the text "C(<strands>)" where that number has too
+    many digits to print) so callers can report why the computation was skipped.
     """
 
-    def __init__(self, strands: int, threshold: int, basis_size: int):
+    def __init__(self, strands: int, threshold: int, basis_size: int | str):
         super().__init__(f"strands {strands} exceeds threshold {threshold}")
         self.strands = strands
         self.threshold = threshold

@@ -46,7 +46,7 @@ from .braid import BraidWord, TwistedTorusParams, braid_connected_sum, braid_mir
 from .burau import alexander_from_braid
 from .errors import ExpressionSyntaxError
 from .laurent import LaurentPoly, normalize_alexander
-from .temperley_lieb import jones_from_braid
+from .temperley_lieb import _check_strands, jones_from_braid
 
 
 @dataclass(frozen=True)
@@ -174,8 +174,13 @@ def expr_jones(e: KnotExpression, threshold: int | None = None) -> LaurentPoly:
     TwistedTorus nodes go through the Temperley-Lieb pipeline and are subject
     to its strand threshold; TooManyStrands propagates to the caller.
     """
-    return _fold(e, lambda t: torus_jones_closed(t.p, t.q),
-                 lambda pr: jones_from_braid(_twisted_braid(pr), threshold),
+    def twisted(pr: TwistedTorusParams) -> LaurentPoly:
+        # the braid has p strands; refuse on that before building a word
+        # whose length alone may be unrepresentable
+        _check_strands(pr.p, threshold)
+        return jones_from_braid(_twisted_braid(pr), threshold)
+
+    return _fold(e, lambda t: torus_jones_closed(t.p, t.q), twisted,
                  _product, LaurentPoly.invert_var)
 
 

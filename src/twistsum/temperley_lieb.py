@@ -76,6 +76,7 @@ consuming unbounded time; callers may raise the threshold explicitly.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 
 from .braid import BraidWord, is_knot_closure, writhe
@@ -312,11 +313,35 @@ def _rotated(letters: tuple[int, ...]) -> tuple[int, ...]:
     return letters[best_start:] + letters[:best_start]
 
 
+def _basis_size(strands: int) -> int | str:
+    """C(strands), or the text "C(<strands>)" where that number has too many digits to print.
+
+    The limit is the interpreter's int-to-str digit limit, or CPython's default
+    of 4300 digits where it has none. The digit count is read from log10 C(n),
+    so a Catalan number that cannot be printed is never computed. Below
+    n = 2 * limit, lgamma gives that log far more precisely than the 1e-6
+    margin kept from the limit; from there on C(n) >= 4^n / ((2n + 1)(n + 1))
+    has more than limit digits anyway.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    if strands < 2 * limit:
+        n = strands
+        log10 = (math.lgamma(2 * n + 1) - 2 * math.lgamma(n + 1) - math.log(n + 1)) / math.log(10)
+        if log10 < limit - 1e-6:
+            return catalan(n)
+    return f"C({strands})"
+
+
+def _check_strands(strands: int, threshold: int | None) -> None:
+    """Refuse a transfer on more strands than the threshold (None: DEFAULT_STRAND_THRESHOLD)."""
+    limit = DEFAULT_STRAND_THRESHOLD if threshold is None else threshold
+    if strands > limit:
+        raise TooManyStrands(strands, limit, _basis_size(strands))
+
+
 def kauffman_bracket(b: BraidWord, threshold: int | None = None) -> LaurentPoly:
     """Kauffman bracket of the braid closure (a Laurent polynomial in A)."""
-    limit = DEFAULT_STRAND_THRESHOLD if threshold is None else threshold
-    if b.strands > limit:
-        raise TooManyStrands(b.strands, limit, catalan(b.strands))
+    _check_strands(b.strands, threshold)
     state, diagrams, width = _run(b.strands, 0, _rotated(b.letters))
     # Each diagram closes into closure[d] + 1 loops, a factor
     # delta^m = (-1)^m A^(-2m) (1 + x)^m with m = closure[d]. Terms are summed

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -76,6 +77,24 @@ def test_invariant_jones_over_threshold(capsys):
     assert obj["error"] == "too-many-strands"
     assert obj["reason"] == "strands 19 exceeds threshold 12"
     assert obj["basis_size"] == 1767263190
+
+
+@pytest.mark.parametrize("output_format", ["json", "text"])
+def test_over_threshold_record_with_an_unprintable_basis_size(capsys, output_format):
+    # C(8001) has more digits than int-to-str converts, so the record names it
+    code, out, err = run(capsys, "invariant", "TT(8001,1,2,1)", "jones", "--format", output_format)
+    assert code == EXIT_INFEASIBLE and err == ""
+    record = {
+        "error": "too-many-strands",
+        "reason": "strands 8001 exceeds threshold 12",
+        "strands": 8001,
+        "threshold": 12,
+        "basis_size": "C(8001)",
+    }
+    if output_format == "json":
+        assert out.count("\n") == 1 and json.loads(out) == record
+    else:
+        assert out.splitlines() == [f"{key}: {value}" for key, value in record.items()]
 
 
 def test_verify_first_example_alexander(capsys):
@@ -338,7 +357,7 @@ def test_timings_cover_every_check_including_a_skip(capsys, monkeypatch):
     ]
     assert all(isinstance(c["millis"], float) for c in checks)
     assert list(checks[-1]) == ["invariant", "skipped", "reason", "millis"]
-    # the refused Jones still built its braid, so its time is not zero
+    # the refused Jones still ran the strand check, so its time is not zero
     assert checks[-1]["skipped"] is True and checks[-1]["millis"] > 0
     code, out, _ = run(capsys, *argv)
     assert code == EXIT_OK and "millis" not in out
@@ -388,12 +407,25 @@ UNREPRESENTABLE = "100000000000000000001"
     ["construct", f"T(3,{UNREPRESENTABLE})"],
     ["invariant", f"T(3,{UNREPRESENTABLE})", "alexander"],
     ["construct", f"TT({UNREPRESENTABLE},2,3,-1)"],
-    ["invariant", f"TT({UNREPRESENTABLE},2,3,-1)", "jones"],
 ])
 def test_unrepresentable_parameters_exit_4(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_INTERNAL and out == ""
     assert err.startswith("error: internal error: OverflowError: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("p, argv", [
+    ("18446744073709551617", ["TT(18446744073709551617,3,2,1)", "jones", "--jones-threshold", "3"]),
+    (UNREPRESENTABLE, [f"TT({UNREPRESENTABLE},2,3,-1)", "jones"]),
+])
+def test_jones_refuses_by_strand_count_before_building_the_word(capsys, p, argv):
+    # the word on p strands is too long to build, but its strand count is known
+    start = time.perf_counter()
+    code, out, err = run(capsys, "invariant", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_INFEASIBLE and err == ""
+    record = json.loads(out)
+    assert (record["strands"], record["basis_size"]) == (int(p), f"C({p})")
 
 
 def test_unexpected_exception_exits_4_with_its_type(capsys, monkeypatch):

@@ -23,6 +23,7 @@ from twistsum import temperley_lieb
 from twistsum.temperley_lieb import (
     LOOP_VALUE,
     _basis,
+    _basis_size,
     _cupcap,
     _diagrams,
     _identity_pairing,
@@ -145,6 +146,16 @@ def test_strand_threshold():
         kauffman_bracket(torus_braid(4, 3), threshold=3)
     # explicit override above the default is honoured
     assert kauffman_bracket(torus_braid(4, 3), threshold=13) == kauffman_bracket(torus_braid(4, 3))
+
+
+def test_basis_size_is_exact_wherever_it_can_be_printed():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    # C(n) reaches the default limit of 4300 digits at n = 7153
+    for n in range(7140, 7170):
+        size = catalan(n)
+        assert _basis_size(n) == (size if size < 10 ** limit else f"C({n})")
+    assert _basis_size(19) == catalan(19)
+    assert _basis_size(10 ** 30) == f"C({10 ** 30})"
 
 
 def test_jones_small_knots():
