@@ -80,12 +80,8 @@ def torus_braid(p: int, q: int) -> BraidWord:
     """
     if p < 1:
         raise ValueError(f"requires p >= 1: got p={p}")
-    if p == 1 or q == 0:
-        return BraidWord(p, ())
-    run = tuple(range(1, p))
-    if q < 0:
-        run = tuple(-i for i in run)
-    return BraidWord(p, run * abs(q))
+    run = range(1, p) if q >= 0 else range(-1, -p, -1)
+    return BraidWord(p, tuple(run) * abs(q))
 
 
 def _full_twist_block(r: int, s: int) -> tuple[int, ...]:
@@ -99,9 +95,8 @@ def _full_twist_block(r: int, s: int) -> tuple[int, ...]:
 
 def twisted_torus_braid(p: int, q: int, r: int, s: int) -> BraidWord:
     """Torus braid for (p, q) followed by s full twists on strand positions 1..r."""
-    params = TwistedTorusParams(p, q, r, s)
-    base = torus_braid(params.p, params.q)
-    return BraidWord(params.p, base.letters + _full_twist_block(params.r, params.s))
+    TwistedTorusParams(p, q, r, s)  # validates; q > 0, so the torus part is positive
+    return BraidWord(p, tuple(range(1, p)) * q + _full_twist_block(r, s))
 
 
 def braid_permutation(b: BraidWord) -> tuple[int, ...]:
@@ -204,17 +199,3 @@ def pd_code_to_text(pd: tuple[Crossing, ...]) -> str:
 
 def braid_to_text(b: BraidWord) -> str:
     return f"{b.strands};{','.join(str(l) for l in b.letters)}"
-
-
-def braid_from_text(text: str) -> BraidWord:
-    head, sep, tail = text.partition(";")
-    if not sep:
-        raise ValueError(f"braid text needs the form 'n;l1,l2,...': got {text!r}")
-    try:
-        strands = int(head)
-        # int() rejects an empty token, so "3;1,,2" and "3;1,2," fail here;
-        # only a wholly empty letter list means the empty word.
-        letters = tuple(int(tok) for tok in tail.split(",")) if tail.strip() else ()
-    except ValueError as exc:
-        raise ValueError(f"braid text needs the form 'n;l1,l2,...': got {text!r}") from exc
-    return BraidWord(strands, letters)

@@ -334,16 +334,18 @@ def main(argv: list[str] | None = None) -> int:
     if hasattr(args, "jones_threshold"):  # construct computes no Jones polynomial
         args.jones_threshold = _resolve_threshold(args.jones_threshold, parser)
     try:
-        return args.func(args)
-    except TooManyStrands as exc:
-        _emit({
-            "error": "too-many-strands",
-            "reason": str(exc),
-            "strands": exc.strands,
-            "threshold": exc.threshold,
-            "basis_size": exc.basis_size,
-        }, args)
-        return EXIT_INFEASIBLE
+        try:
+            return args.func(args)
+        except TooManyStrands as exc:
+            # written inside the outer try, so a failed write is mapped like any other error
+            _emit({
+                "error": "too-many-strands",
+                "reason": str(exc),
+                "strands": exc.strands,
+                "threshold": exc.threshold,
+                "basis_size": exc.basis_size,
+            }, args)
+            return EXIT_INFEASIBLE
     except InternalInvariantViolation as exc:
         return _fail(f"internal error: {exc}", EXIT_INTERNAL)
     except MemoryError:
@@ -358,7 +360,3 @@ def main(argv: list[str] | None = None) -> int:
 
 def console_entry() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    console_entry()

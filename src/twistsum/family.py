@@ -28,7 +28,6 @@ from .errors import InternalInvariantViolation, TooManyStrands
 from .braid import TwistedTorusParams
 from .knot_expr import (
     KnotExpression,
-    Mirror,
     Sum,
     Torus,
     TwistedTorus,

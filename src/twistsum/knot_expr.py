@@ -87,8 +87,6 @@ KnotExpression = Union[Torus, TwistedTorus, Sum, Mirror]
 
 MAX_DEPTH = 100
 
-UNKNOT = Torus(1, 1)
-
 
 def torus_alexander_closed(p: int, q: int) -> LaurentPoly:
     """Normalized Alexander polynomial of the (p, q) torus knot, from the closed form."""

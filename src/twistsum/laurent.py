@@ -13,28 +13,19 @@ value, so unrestricted concurrent use is safe.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Union
+from typing import Mapping
 
 from .errors import NotAlexanderLike, NotDivisible
-
-TermsLike = Union[Mapping[int, int], Iterable[tuple[int, int]]]
 
 
 class LaurentPoly:
     """An immutable Laurent polynomial in one variable with integer coefficients."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
-    def __init__(self, terms: TermsLike = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[int, int] = {}
-        for e, c in items:
-            if c:
-                acc[e] = acc.get(e, 0) + c
-                if not acc[e]:
-                    del acc[e]
-        self._terms = acc
-        self._hash: int | None = None
+    def __init__(self, terms: Mapping[int, int] = {}):
+        """``terms`` maps exponent to coefficient; zero coefficients are dropped."""
+        self._terms = {e: c for e, c in terms.items() if c}
 
     @classmethod
     def zero(cls) -> LaurentPoly:
@@ -53,9 +44,6 @@ class LaurentPoly:
     def items(self) -> tuple[tuple[int, int], ...]:
         """Terms as (exponent, coefficient) pairs, ascending in exponent."""
         return tuple(sorted(self._terms.items()))
-
-    def coefficient(self, exponent: int) -> int:
-        return self._terms.get(exponent, 0)
 
     @property
     def min_exp(self) -> int:
@@ -83,9 +71,7 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.items())
-        return self._hash
+        return hash(self.items())
 
     def __repr__(self) -> str:
         return f"<LaurentPoly {self.to_text()}>"
@@ -246,7 +232,6 @@ def _wrap(terms: dict[int, int]) -> LaurentPoly:
     """Adopt an already-canonical dict without copying (internal fast path)."""
     p = LaurentPoly.__new__(LaurentPoly)
     p._terms = terms
-    p._hash = None
     return p
 
 
@@ -285,12 +270,3 @@ def normalize_alexander(p: LaurentPoly) -> LaurentPoly:
         raise NotAlexanderLike(f"value at 1 is {at_one}, expected +1 or -1")
     out = p.shifted(-p.min_exp)
     return out if at_one == 1 else -out
-
-
-def equal_up_to_units(p: LaurentPoly, q: LaurentPoly) -> bool:
-    """True iff p = +-t^k * q for some integer k."""
-    if not p or not q:
-        return not p and not q
-    ps = p.shifted(-p.min_exp)
-    qs = q.shifted(-q.min_exp)
-    return ps == qs or ps == -qs

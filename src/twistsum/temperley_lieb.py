@@ -90,8 +90,6 @@ from .laurent import LaurentPoly, _unpack, _wrap
 
 DEFAULT_STRAND_THRESHOLD = 12
 
-LOOP_VALUE = LaurentPoly({2: -1, -2: -1})
-
 
 def catalan(n: int) -> int:
     """The n-th Catalan number; the dimension of the diagram algebra on n strands."""
@@ -317,18 +315,16 @@ def _basis_size(strands: int) -> int | str:
     """C(strands), or the text "C(<strands>)" where that number has too many digits to print.
 
     The limit is the interpreter's int-to-str digit limit, or CPython's default
-    of 4300 digits where it has none. The digit count is read from log10 C(n),
-    so a Catalan number that cannot be printed is never computed. Below
-    n = 2 * limit, lgamma gives that log far more precisely than the 1e-6
-    margin kept from the limit; from there on C(n) >= 4^n / ((2n + 1)(n + 1))
-    has more than limit digits anyway.
+    of 4300 digits where it has none. C(n) is computed and compared with
+    10^limit only below n = 2 * limit; from there on
+    C(n) >= 4^n / ((2n + 1)(n + 1)) has more than limit digits anyway, so a
+    Catalan number that large is never computed.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
     if strands < 2 * limit:
-        n = strands
-        log10 = (math.lgamma(2 * n + 1) - 2 * math.lgamma(n + 1) - math.log(n + 1)) / math.log(10)
-        if log10 < limit - 1e-6:
-            return catalan(n)
+        size = catalan(strands)
+        if size < 10 ** limit:
+            return size
     return f"C({strands})"
 
 

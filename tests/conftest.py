@@ -14,7 +14,8 @@ elimination.
 The dense reduced Burau generators and their matrix product, and the
 recursive enumeration of noncrossing pairings, are the reference algebra the
 pipelines' column updates and reachable Temperley-Lieb basis are compared
-against; the package runs neither.
+against; the package runs neither. ``equal_up_to_units`` compares
+polynomials up to the units +-t^k, which only the tests need.
 """
 
 from __future__ import annotations
@@ -204,6 +205,15 @@ def alexander_from_pd(pd) -> LaurentPoly:
         row[arc[find(a)]] = row[arc[find(a)]] + incoming
         row[arc[find(c)]] = row[arc[find(c)]] + outgoing
     return normalize_alexander(det_cofactor([row[:-1] for row in matrix[:-1]]))
+
+
+def equal_up_to_units(p: LaurentPoly, q: LaurentPoly) -> bool:
+    """True iff p = +-t^k * q for some integer k."""
+    if not p or not q:
+        return not p and not q
+    ps = p.shifted(-p.min_exp)
+    qs = q.shifted(-q.min_exp)
+    return ps == qs or ps == -qs
 
 
 def random_word(rng: random.Random, strands: int, length: int) -> BraidWord:

@@ -3,7 +3,14 @@ from math import gcd
 
 import pytest
 
-from conftest import burau_generator, burau_matmul, generator_product, random_knot_word, random_word
+from conftest import (
+    burau_generator,
+    burau_matmul,
+    equal_up_to_units,
+    generator_product,
+    random_knot_word,
+    random_word,
+)
 from twistsum import (
     BraidWord,
     LaurentPoly,
@@ -18,7 +25,7 @@ from twistsum import (
     twisted_torus_braid,
 )
 from twistsum.burau import BurauMatrix, burau_of_word
-from twistsum.laurent import equal_up_to_units, normalize_alexander
+from twistsum.laurent import normalize_alexander
 
 MINUS_T = LaurentPoly.monomial(1, -1)
 

@@ -1,5 +1,8 @@
+import errno
+import io
 import json
 import random
+import sys
 import time
 from types import SimpleNamespace
 
@@ -95,6 +98,24 @@ def test_over_threshold_record_with_an_unprintable_basis_size(capsys, output_for
         assert out.count("\n") == 1 and json.loads(out) == record
     else:
         assert out.splitlines() == [f"{key}: {value}" for key, value in record.items()]
+
+
+class _FullStdout(io.TextIOBase):
+    """A stdout every write to which fails, like a redirect to /dev/full."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("output_format", ["json", "text"])
+@pytest.mark.parametrize("spec, which", [("TT(19,13,15,-1)", "jones"), ("T(2,3)", "alexander")],
+                         ids=["over-threshold-record", "result"])
+def test_a_failed_write_exits_4_on_one_stderr_line(capsys, monkeypatch, spec, which, output_format):
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    code = main(["invariant", spec, which, "--format", output_format])
+    assert code == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err == f"error: internal error: OSError: [Errno {errno.ENOSPC}] No space left on device\n"
 
 
 def test_verify_first_example_alexander(capsys):

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from conftest import equal_up_to_units
 from twistsum import LaurentPoly, NotAlexanderLike, NotDivisible
-from twistsum.laurent import equal_up_to_units, normalize_alexander
+from twistsum.laurent import normalize_alexander
 from twistsum.knot_expr import torus_alexander_closed
 
 

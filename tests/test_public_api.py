@@ -2,7 +2,8 @@
 
 The demos, the README example and ``perfbench/workloads.py`` are read as
 text, never imported or changed, so a name they need cannot leave
-``twistsum.__all__`` unnoticed.
+``twistsum.__all__`` unnoticed. Conversely, every public module-level name in
+the package must have a caller outside the tests.
 """
 
 import ast
@@ -17,6 +18,7 @@ import twistsum
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "twistsum").glob("*.py"))
 EXPORTED = set(twistsum.__all__)
 
 PUBLIC = {
@@ -113,3 +115,35 @@ def test_benchmark_workloads_use_only_public_names():
 def test_demo_runs(demo, capsys):
     runpy.run_path(str(demo), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def _top_level_names(tree: ast.Module):
+    """(name, node) for each module-level function, class and assigned constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id, node
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # a caller is the package itself outside the name's own definition,
+    # pyproject.toml, a demo, a README code block or the benchmark
+    outside = [(ROOT / "pyproject.toml").read_text(), *README_BLOCKS]
+    outside += [path.read_text() for path in DEMOS + sorted((ROOT / "perfbench").glob("*.py"))]
+    sources = {path: path.read_text() for path in PACKAGE}
+    unreached = []
+    for path, source in sources.items():
+        lines = source.splitlines()
+        for name, node in _top_level_names(ast.parse(source)):
+            if name.startswith("_"):
+                continue
+            rest = "\n".join(lines[:node.lineno - 1] + lines[node.end_lineno:])
+            texts = [rest, *outside, *(text for other, text in sources.items() if other != path)]
+            if not any(re.search(rf"\b{re.escape(name)}\b", text) for text in texts):
+                unreached.append(f"{path.stem}.{name}")
+    assert unreached == []

@@ -21,7 +21,6 @@ from twistsum import (
 )
 from twistsum import temperley_lieb
 from twistsum.temperley_lieb import (
-    LOOP_VALUE,
     _basis,
     _basis_size,
     _cupcap,
@@ -122,7 +121,7 @@ def test_apply_letter_braid_relation():
 
 def test_bracket_base_cases():
     assert kauffman_bracket(BraidWord(1, ())) == LaurentPoly.one()
-    assert kauffman_bracket(BraidWord(2, ())) == LOOP_VALUE
+    assert kauffman_bracket(BraidWord(2, ())) == LaurentPoly({2: -1, -2: -1})
     assert kauffman_bracket(BraidWord(2, (1,))) == LaurentPoly.monomial(3, -1)
 
 
