@@ -81,7 +81,8 @@ def torus_braid(p: int, q: int) -> BraidWord:
     if p < 1:
         raise ValueError(f"requires p >= 1: got p={p}")
     run = range(1, p) if q >= 0 else range(-1, -p, -1)
-    return BraidWord(p, tuple(run) * abs(q))
+    # p = 1 is the unknot for any q, even one too large to repeat a sequence by
+    return BraidWord(p, tuple(run) * abs(q) if p > 1 else ())
 
 
 def _full_twist_block(r: int, s: int) -> tuple[int, ...]:

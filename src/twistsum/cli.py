@@ -335,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
         args.jones_threshold = _resolve_threshold(args.jones_threshold, parser)
     try:
         try:
-            return args.func(args)
+            code = args.func(args)
         except TooManyStrands as exc:
             # written inside the outer try, so a failed write is mapped like any other error
             _emit({
@@ -345,7 +345,9 @@ def main(argv: list[str] | None = None) -> int:
                 "threshold": exc.threshold,
                 "basis_size": exc.basis_size,
             }, args)
-            return EXIT_INFEASIBLE
+            code = EXIT_INFEASIBLE
+        sys.stdout.flush()  # a block-buffered stdout fails here, not in print
+        return code
     except InternalInvariantViolation as exc:
         return _fail(f"internal error: {exc}", EXIT_INTERNAL)
     except MemoryError:
@@ -359,4 +361,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:  # main reported it; leave the flush at exit nothing to fail on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

@@ -315,13 +315,13 @@ def _basis_size(strands: int) -> int | str:
     """C(strands), or the text "C(<strands>)" where that number has too many digits to print.
 
     The limit is the interpreter's int-to-str digit limit, or CPython's default
-    of 4300 digits where it has none. C(n) is computed and compared with
-    10^limit only below n = 2 * limit; from there on
-    C(n) >= 4^n / ((2n + 1)(n + 1)) has more than limit digits anyway, so a
-    Catalan number that large is never computed.
+    of 4300 digits where it has none. C(n) >= 4^n / ((2n + 1)(n + 1)) > 2^(2n - b),
+    b the bit length of (2n + 1)(n + 1), and 2^(floor(3.322 * limit) + 1) > 10^limit,
+    so C(n) is computed only where that bound leaves the comparison open, at most
+    about 1.00003 * limit + log10(n) + 2 digits (at the default, n <= 7155).
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
-    if strands < 2 * limit:
+    if 2 * strands - ((2 * strands + 1) * (strands + 1)).bit_length() <= limit * 3322 // 1000:
         size = catalan(strands)
         if size < 10 ** limit:
             return size

@@ -38,6 +38,7 @@ def test_torus_braid_examples():
     assert torus_braid(3, -2) == BraidWord(3, (-1, -2, -1, -2))
     assert torus_braid(5, 3) == BraidWord(5, (1, 2, 3, 4) * 3)
     assert torus_braid(1, 7) == BraidWord(1, ())
+    assert torus_braid(1, 2 ** 64) == BraidWord(1, ())
     assert torus_braid(4, 0) == BraidWord(4, ())
     with pytest.raises(ValueError):
         torus_braid(0, 3)

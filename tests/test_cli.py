@@ -1,13 +1,16 @@
 import errno
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from types import SimpleNamespace
 
 import pytest
 
+import twistsum
 from twistsum.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, _selftest_suites, main
 from twistsum.family import LEVELS
 from twistsum.knot_expr import MAX_DEPTH
@@ -101,21 +104,46 @@ def test_over_threshold_record_with_an_unprintable_basis_size(capsys, output_for
 
 
 class _FullStdout(io.TextIOBase):
-    """A stdout every write to which fails, like a redirect to /dev/full."""
+    """A stdout on /dev/full: with buffering, writes succeed and the flush fails."""
+
+    def __init__(self, buffered):
+        self.buffered = buffered
 
     def write(self, text):
+        if not self.buffered:
+            self.flush()
+        return len(text)
+
+    def flush(self):
         raise OSError(errno.ENOSPC, "No space left on device")
 
 
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("output_format", ["json", "text"])
 @pytest.mark.parametrize("spec, which", [("TT(19,13,15,-1)", "jones"), ("T(2,3)", "alexander")],
                          ids=["over-threshold-record", "result"])
-def test_a_failed_write_exits_4_on_one_stderr_line(capsys, monkeypatch, spec, which, output_format):
-    monkeypatch.setattr(sys, "stdout", _FullStdout())
+def test_a_failed_write_exits_4_on_one_stderr_line(capsys, monkeypatch, spec, which, output_format, buffered):
+    monkeypatch.setattr(sys, "stdout", _FullStdout(buffered))
     code = main(["invariant", spec, which, "--format", output_format])
     assert code == EXIT_INTERNAL
     err = capsys.readouterr().err
     assert err == f"error: internal error: OSError: [Errno {errno.ENOSPC}] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_a_process_writing_to_a_full_device_exits_4_on_one_stderr_line(buffered):
+    # console_entry must leave nothing for the flush at interpreter exit to fail on
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    src = os.path.dirname(os.path.dirname(twistsum.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "twistsum", "invariant", "TT(19,13,15,-1)", "jones"],
+                              stdout=full, stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    assert proc.returncode == EXIT_INTERNAL
+    assert proc.stderr == f"error: internal error: OSError: [Errno {errno.ENOSPC}] No space left on device\n"
 
 
 def test_verify_first_example_alexander(capsys):

@@ -157,6 +157,21 @@ def test_basis_size_is_exact_wherever_it_can_be_printed():
     assert _basis_size(10 ** 30) == f"C({10 ** 30})"
 
 
+@pytest.mark.parametrize("limit, first", [(640, 1060), (5000, 8300)])
+def test_basis_size_follows_a_changed_digit_limit(monkeypatch, limit, first):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit, raising=False)
+    for n in range(first, first + 30):
+        size = catalan(n)
+        assert _basis_size(n) == (size if size < 10 ** limit else f"C({n})")
+
+
+@pytest.mark.parametrize("limit, n", [(4300, 7156), (4300, 8599), (10 ** 6, 2 * 10 ** 6 - 1)])
+def test_basis_size_refuses_without_computing_a_catalan_number(monkeypatch, limit, n):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit, raising=False)
+    monkeypatch.setattr(temperley_lieb, "catalan", lambda n: pytest.fail(f"computed C({n})"))
+    assert _basis_size(n) == f"C({n})"
+
+
 def test_jones_small_knots():
     assert jones_from_braid(torus_braid(2, 3)) == LaurentPoly({1: 1, 3: 1, 4: -1})
     assert jones_from_braid(torus_braid(2, 1)) == LaurentPoly.one()
