@@ -6,7 +6,9 @@ parameter error, 3 declared infeasibility (strand threshold), 4 internal
 error (an identity that must hold mathematically failed: a bug; also running
 out of memory, an interrupt, or any other exception, such as a parameter too
 large for the interpreter to index with, reported as ``internal error:
-<Type>: <message>``), each reported on one stderr line. That holds
+<Type>: <message>``; and a standard output that refuses the output, such as
+/dev/full or a pipe closed early, reported as ``cannot write output:
+<reason>``), each reported on one stderr line. That holds
 for the usage errors argparse detects too (a missing argument, an invalid
 choice, a bad threshold): one ``error: <message>`` line, no usage block. The
 commands only return 0 or 1, or 2 for a parameter ValueError; every library
@@ -26,7 +28,7 @@ import os
 import random
 import sys
 import time
-from math import gcd
+from math import comb, gcd
 
 from . import braid as braid_mod
 from . import temperley_lieb as tl
@@ -65,9 +67,21 @@ def _resolve_threshold(flag_value: int | None, parser: argparse.ArgumentParser) 
     return value
 
 
+class _OutputFailed(Exception):
+    """Standard output refused a write or the flush: the program itself did not fail."""
+
+
+def _print(text: str) -> None:
+    """Print one line of output; a failed write raises _OutputFailed with the system's reason."""
+    try:
+        print(text)
+    except OSError as exc:
+        raise _OutputFailed(exc.strerror or str(exc)) from exc
+
+
 def _emit(obj, args) -> None:
     if getattr(args, "output_format", "json") == "json":
-        print(json.dumps(obj))
+        _print(json.dumps(obj))
     else:
         _emit_text(obj)
 
@@ -76,19 +90,19 @@ def _emit_text(obj, indent: str = "") -> None:
     if isinstance(obj, dict):
         for key, value in obj.items():
             if isinstance(value, dict) and set(value) == {"var", "terms"}:
-                print(f"{indent}{key}: {LaurentPoly.from_json_obj(value).to_text(value['var'])}")
+                _print(f"{indent}{key}: {LaurentPoly.from_json_obj(value).to_text(value['var'])}")
             elif isinstance(value, (dict, list)):
-                print(f"{indent}{key}:")
+                _print(f"{indent}{key}:")
                 _emit_text(value, indent + "  ")
             else:
-                print(f"{indent}{key}: {value}")
+                _print(f"{indent}{key}: {value}")
     elif isinstance(obj, list):
         for i, value in enumerate(obj):
             if i:
-                print(f"{indent}-")
+                _print(f"{indent}-")
             _emit_text(value, indent)
     else:
-        print(f"{indent}{obj}")
+        _print(f"{indent}{obj}")
 
 
 def _fail(message: str, code: int) -> int:
@@ -99,13 +113,13 @@ def _fail(message: str, code: int) -> int:
 def cmd_construct(args) -> int:
     expr = parse_expression(args.spec)
     if args.format == "expr":
-        print(format_expression(expr))
+        _print(format_expression(expr))
         return EXIT_OK
     word = expr_to_braid(expr)
     if args.format == "braid":
-        print(braid_mod.braid_to_text(word))
+        _print(braid_mod.braid_to_text(word))
         return EXIT_OK
-    print(braid_mod.pd_code_to_text(braid_mod.closure_pd_code(word)))
+    _print(braid_mod.pd_code_to_text(braid_mod.closure_pd_code(word)))
     return EXIT_OK
 
 
@@ -182,6 +196,21 @@ def _selftest_suites(args):
             if not (len(ids) == len(pairings) == expected[n - 1]
                     and all(tl._is_noncrossing_pairing(p) for p in pairings)):
                 return False
+        # the cell modules the trace steps: C(n, (n-k)/2) - C(n, (n-k)/2 - 1)
+        # link states with k defects, squares summing to C(n), and no table
+        # entry leaving its module
+        for n in range(1, 14):
+            modules = tl._modules(n)
+            defects = modules.defects
+            arcs = range(n // 2 + 1)  # (n - k) / 2 for each module
+            dims = [defects.count(n - 2 * a) for a in arcs]
+            if dims != [comb(n, a) - (comb(n, a - 1) if a else 0) for a in arcs]:
+                return False
+            if sum(d * d for d in dims) != tl.catalan(n):
+                return False
+            for row in modules.moves:
+                if any(code >= 0 and defects[code >> 1] != defects[s] for s, code in enumerate(row)):
+                    return False
         return True
 
     def burau_relations() -> bool:
@@ -205,16 +234,19 @@ def _selftest_suites(args):
 
     def temperley_lieb_relations() -> bool:
         # g_i g_i^-1 = g_i^-1 g_i = 1 and the braid relation, on every basis
-        # diagram, stepped by the kernel the bracket runs
+        # diagram and on every link state of every cell module, stepped by the
+        # kernels the bracket runs
         for n in range(2, 6):
-            for d in tl._basis(n):
-                one = {d: LaurentPoly.one()}
-                for i in range(1, n):
-                    if tl._transfer(n, d, (i, -i)) != one or tl._transfer(n, d, (-i, i)) != one:
-                        return False
-                for i in range(1, n - 1):
-                    if tl._transfer(n, d, (i, i + 1, i)) != tl._transfer(n, d, (i + 1, i, i + 1)):
-                        return False
+            routes = [(tl._transfer, tl._basis(n)), (tl._module_transfer, range(len(tl._modules(n).defects)))]
+            for transfer, starts in routes:
+                for d in starts:
+                    one = {d: LaurentPoly.one()}
+                    for i in range(1, n):
+                        if transfer(n, d, (i, -i)) != one or transfer(n, d, (-i, i)) != one:
+                            return False
+                    for i in range(1, n - 1):
+                        if transfer(n, d, (i, i + 1, i)) != transfer(n, d, (i + 1, i, i + 1)):
+                            return False
         return True
 
     def markov_sample() -> bool:
@@ -337,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             code = args.func(args)
         except TooManyStrands as exc:
-            # written inside the outer try, so a failed write is mapped like any other error
+            # written inside the outer try, so a failed write is mapped there too
             _emit({
                 "error": "too-many-strands",
                 "reason": str(exc),
@@ -346,8 +378,13 @@ def main(argv: list[str] | None = None) -> int:
                 "basis_size": exc.basis_size,
             }, args)
             code = EXIT_INFEASIBLE
-        sys.stdout.flush()  # a block-buffered stdout fails here, not in print
+        try:
+            sys.stdout.flush()  # a block-buffered stdout fails here, not in print
+        except OSError as exc:
+            raise _OutputFailed(exc.strerror or str(exc)) from exc
         return code
+    except _OutputFailed as exc:
+        return _fail(f"cannot write output: {exc}", EXIT_INTERNAL)
     except InternalInvariantViolation as exc:
         return _fail(f"internal error: {exc}", EXIT_INTERNAL)
     except MemoryError:

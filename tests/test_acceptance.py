@@ -105,6 +105,19 @@ def test_criterion_3_family_grid():
     print(f"PASS criterion 3: 27-member grid at alexander level, Jones for p <= 12 ({elapsed:.1f}s)")
 
 
+def test_criterion_3_a_13_strand_member_above_the_default_threshold():
+    # the cheapest p = 13 member of the grid; the default threshold skips its Jones
+    start = time.perf_counter()
+    fp = FamilyParams(1, 4, 2)
+    assert family_instantiate(fp).p == 13
+    report = family_verify(fp, "full", 13)
+    assert report.verdict == "verified-at-level"
+    jones = [c for c in report.checks if c.invariant == "jones"][0]
+    assert not jones.skipped and jones.equal is True
+    elapsed = time.perf_counter() - start
+    print(f"PASS criterion 3: (1,4,2), 13 strands, Jones equals the closed form ({elapsed:.1f}s)")
+
+
 def test_criterion_4_torus_oracles():
     start = time.perf_counter()
     pairs = 0

@@ -1,4 +1,5 @@
 import errno
+import functools
 import io
 import json
 import os
@@ -103,11 +104,12 @@ def test_over_threshold_record_with_an_unprintable_basis_size(capsys, output_for
         assert out.splitlines() == [f"{key}: {value}" for key, value in record.items()]
 
 
-class _FullStdout(io.TextIOBase):
-    """A stdout on /dev/full: with buffering, writes succeed and the flush fails."""
+class _FailingStdout(io.TextIOBase):
+    """A stdout on /dev/full or a closed pipe: with buffering, writes succeed and the flush fails."""
 
-    def __init__(self, buffered):
+    def __init__(self, buffered, error):
         self.buffered = buffered
+        self.error = error
 
     def write(self, text):
         if not self.buffered:
@@ -115,7 +117,7 @@ class _FullStdout(io.TextIOBase):
         return len(text)
 
     def flush(self):
-        raise OSError(errno.ENOSPC, "No space left on device")
+        raise self.error
 
 
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
@@ -123,27 +125,51 @@ class _FullStdout(io.TextIOBase):
 @pytest.mark.parametrize("spec, which", [("TT(19,13,15,-1)", "jones"), ("T(2,3)", "alexander")],
                          ids=["over-threshold-record", "result"])
 def test_a_failed_write_exits_4_on_one_stderr_line(capsys, monkeypatch, spec, which, output_format, buffered):
-    monkeypatch.setattr(sys, "stdout", _FullStdout(buffered))
-    code = main(["invariant", spec, which, "--format", output_format])
-    assert code == EXIT_INTERNAL
-    err = capsys.readouterr().err
-    assert err == f"error: internal error: OSError: [Errno {errno.ENOSPC}] No space left on device\n"
+    for error in (OSError(errno.ENOSPC, "No space left on device"),
+                  BrokenPipeError(errno.EPIPE, "Broken pipe")):
+        monkeypatch.setattr(sys, "stdout", _FailingStdout(buffered, error))
+        code = main(["invariant", spec, which, "--format", output_format])
+        assert code == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write output: {error.strerror}\n"
+
+
+def _package_env(buffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    src = os.path.dirname(os.path.dirname(twistsum.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 def test_a_process_writing_to_a_full_device_exits_4_on_one_stderr_line(buffered):
     # console_entry must leave nothing for the flush at interpreter exit to fail on
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    if not buffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    src = os.path.dirname(os.path.dirname(twistsum.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     with open("/dev/full", "w") as full:
         proc = subprocess.run([sys.executable, "-m", "twistsum", "invariant", "TT(19,13,15,-1)", "jones"],
-                              stdout=full, stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+                              stdout=full, stderr=subprocess.PIPE, env=_package_env(buffered),
+                              text=True, timeout=60)
     assert proc.returncode == EXIT_INTERNAL
-    assert proc.stderr == f"error: internal error: OSError: [Errno {errno.ENOSPC}] No space left on device\n"
+    assert proc.stderr == "error: cannot write output: No space left on device\n"
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_a_process_whose_reader_has_gone_exits_4_on_one_stderr_line(buffered):
+    # `twistsum enumerate ... | head -c 1`, with the reader gone before the
+    # first write so the broken pipe does not depend on timing
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "twistsum", "enumerate", "--a-max", "1",
+                               "--k1-max", "2", "--k2-max", "3", "--format", "text"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=_package_env(buffered),
+                              text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_INTERNAL
+    assert proc.stderr == "error: cannot write output: Broken pipe\n"
 
 
 def test_verify_first_example_alexander(capsys):
@@ -311,15 +337,34 @@ def test_selftest_checks_the_kernels_the_pipelines_run(monkeypatch):
     import twistsum.temperley_lieb as tl_mod
 
     real_apply_run = burau_mod._apply_run
+    real_cupcap = tl_mod._cupcap
 
     def first_letter_of_each_run(cols, a, length, d):
         real_apply_run(cols, a, 1, d)
 
     monkeypatch.setattr(burau_mod, "_apply_run", first_letter_of_each_run)
     monkeypatch.setattr(tl_mod, "_DIAGRAMS", {})
+    # tables built from the broken rules go to a fresh cache; the shared one is left as it was
+    monkeypatch.setattr(tl_mod, "_modules", functools.lru_cache(maxsize=4)(tl_mod._Modules))
     monkeypatch.setattr(tl_mod, "_cupcap", lambda pairing, j: (pairing, 1))
     suites = dict(_selftest_suites(SimpleNamespace(seed=0, jones_threshold=None)))
     assert not suites["burau-relations"]()
+    assert not suites["catalan-basis"]()
+
+    # a module table that joins two adjacent defects instead of sending them to
+    # 0; the joined term falls to a module with fewer defects and never returns
+    # to a diagonal entry, so brackets stay right and only the closure check
+    # of catalan-basis can see it
+    def join_defects(state, j):
+        if state[j] < 0 and state[j + 1] < 0:
+            joined = list(state)
+            joined[j], joined[j + 1] = j + 1, j
+            return tuple(joined), 0
+        return real_cupcap(state, j)
+
+    monkeypatch.setattr(tl_mod, "_cupcap", join_defects)
+    monkeypatch.setattr(tl_mod, "_modules", functools.lru_cache(maxsize=4)(tl_mod._Modules))
+    suites = dict(_selftest_suites(SimpleNamespace(seed=0, jones_threshold=None)))
     assert not suites["catalan-basis"]()
 
 

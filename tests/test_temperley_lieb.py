@@ -1,12 +1,16 @@
+import importlib.util
+import math
+import pathlib
 import random
 import sys
 import threading
 
 import pytest
 
-from conftest import bracket_from_pd, enumerate_pairings, random_knot_word
+from conftest import DELTA, bracket_from_pd, enumerate_pairings, random_knot_word, random_word
 from twistsum import (
     BraidWord,
+    InternalInvariantViolation,
     LaurentPoly,
     NotAKnot,
     TooManyStrands,
@@ -20,13 +24,20 @@ from twistsum import (
     twisted_torus_braid,
 )
 from twistsum import temperley_lieb
+from twistsum.braid import _full_twist_block
 from twistsum.temperley_lieb import (
     _basis,
     _basis_size,
     _cupcap,
+    _diagram_bracket,
     _diagrams,
     _identity_pairing,
     _is_noncrossing_pairing,
+    _is_twisted_torus_word,
+    _link_states,
+    _module_bracket,
+    _module_transfer,
+    _modules,
     _rotated,
     _transfer,
     catalan,
@@ -87,13 +98,18 @@ def test_apply_letter_on_identity():
     }
 
 
+def _link_state_ids(n):
+    return range(len(_modules(n).defects))
+
+
 def test_apply_letter_then_inverse_is_identity_action():
     one = LaurentPoly.one()
     for n in range(2, 5):
-        for d in _basis_ids(n):
-            for i in range(1, n):
-                assert _transfer(n, d, (i, -i)) == {d: one}
-                assert _transfer(n, d, (-i, i)) == {d: one}
+        for transfer, starts in ((_transfer, _basis_ids(n)), (_module_transfer, _link_state_ids(n))):
+            for d in starts:
+                for i in range(1, n):
+                    assert transfer(n, d, (i, -i)) == {d: one}
+                    assert transfer(n, d, (-i, i)) == {d: one}
 
 
 def test_cup_cap_relations():
@@ -114,9 +130,10 @@ def test_cup_cap_relations():
 
 def test_apply_letter_braid_relation():
     for n in range(3, 5):
-        for d in _basis_ids(n):
-            for i in range(1, n - 1):
-                assert _transfer(n, d, (i, i + 1, i)) == _transfer(n, d, (i + 1, i, i + 1))
+        for transfer, starts in ((_transfer, _basis_ids(n)), (_module_transfer, _link_state_ids(n))):
+            for d in starts:
+                for i in range(1, n - 1):
+                    assert transfer(n, d, (i, i + 1, i)) == transfer(n, d, (i + 1, i, i + 1))
 
 
 def test_bracket_base_cases():
@@ -320,3 +337,144 @@ def test_bracket_tables_shared_across_threads(monkeypatch):
             assert results == expected
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_link_states_are_the_noncrossing_states_with_no_arc_over_a_defect():
+    for n in range(1, 11):
+        for k in range(n % 2, n + 1, 2):
+            states = _link_states(n, k)
+            arcs = (n - k) // 2
+            assert len(set(states)) == len(states) == math.comb(n, arcs) - (math.comb(n, arcs - 1) if arcs else 0)
+            for state in states:
+                assert state.count(-1) == k
+                assert all(state[state[i]] == i != state[i] for i in range(n) if state[i] >= 0)
+                for i in range(n):
+                    # no arc crosses one that starts inside it, and none passes over a defect
+                    inside = range(min(i, state[i]) + 1, max(i, state[i])) if state[i] >= 0 else ()
+                    assert all(state[m] >= 0 and min(i, state[i]) < state[m] < max(i, state[i]) for m in inside)
+
+
+def test_cupcap_on_link_states():
+    # (0 1) then a defect at 2: re-pairing (1, 2) leaves 0 as the defect
+    assert _cupcap((1, 0, -1), 1) == ((-1, 2, 1), 0)
+    assert _cupcap((1, 0, -1), 0) == ((1, 0, -1), 1)
+    assert _cupcap((-1, -1, -1), 0) is None
+    assert _cupcap((1, 0, 3, 2), 1) == ((3, 2, 1, 0), 0)
+
+
+def _shape_oracle(b):
+    """The twisted torus shape by trying every (sign, q, r, s) the word's length allows.
+
+    The negative full twist on r strands is written (s_(r-1)^-1 ... s_1^-1)^r,
+    as ``twisted_torus_braid`` builds it.
+    """
+    n, letters = b.strands, b.letters
+    for sign in (1, -1):
+        for q in range(1, len(letters) // max(n - 1, 1) + 1):
+            torus = tuple(sign * i for i in range(1, n)) * q
+            if not torus or letters[:len(torus)] != torus:
+                continue
+            rest = letters[len(torus):]
+            if not rest:
+                return True
+            for r in range(2, n):
+                turns = len(rest) // (r * (r - 1))
+                if turns and rest in (tuple(range(1, r)) * (r * turns), tuple(range(1 - r, 0)) * (r * turns)):
+                    return True
+    return False
+
+
+def _torus_grid():
+    words = [torus_braid(p, s * q) for p in range(2, 10) for q in range(1, 4) for s in (1, -1)]
+    words += [twisted_torus_braid(p, q, r, s)
+              for p in range(3, 10) for q in range(1, 3) if math.gcd(p, q) == 1
+              for r in sorted({2, p - 1}) for s in (-1, 1)]
+    return words
+
+
+def test_module_route_matches_the_full_transfer_on_the_torus_grid():
+    for w in _torus_grid():
+        assert _is_twisted_torus_word(w)
+        assert _module_bracket(w) == _diagram_bracket(w), w
+
+
+def test_module_route_matches_the_full_transfer_and_the_pd_oracle_on_random_words():
+    rng = random.Random(31)
+    for _ in range(400):
+        n = rng.randint(2, 9)
+        w = random_word(rng, n, rng.randint(1, 8))
+        expected = _diagram_bracket(w)
+        assert _module_bracket(w) == expected, w
+        # a strand position no letter touches closes into a circle the PD code
+        # cannot carry, a split unknot: one more factor delta
+        touched = {p for l in w.letters for p in (abs(l), abs(l) + 1)}
+        assert bracket_from_pd(closure_pd_code(w)) * DELTA ** (n - len(touched)) == expected, w
+
+
+def _small_braids_words(seed):
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for n, word, conjugate, stabilized in workloads.small_braid_specs(seed, negative=False):
+        yield from (BraidWord(n, word), BraidWord(n, conjugate), BraidWord(n + 1, stabilized))
+
+
+def test_module_route_matches_the_full_transfer_on_the_small_braids_words():
+    words = list(_small_braids_words(1))
+    assert len(words) == 1800
+    for w in words:
+        assert _module_bracket(w) == _diagram_bracket(w), w
+
+
+def test_shape_check_accepts_the_family_words_and_rejects_near_misses():
+    rng = random.Random(32)
+    for w in _torus_grid():
+        assert _shape_oracle(w)
+        # every one-letter change, checked against the oracle: some changes
+        # give another word of the shape, such as T(3,2) -> TT(3,1,2,1)
+        for _ in range(3):
+            i = rng.randrange(len(w.letters))
+            letter = rng.choice([s * g for s in (1, -1) for g in range(1, w.strands) if s * g != w.letters[i]])
+            changed = BraidWord(w.strands, w.letters[:i] + (letter,) + w.letters[i + 1:])
+            assert _is_twisted_torus_word(changed) == _shape_oracle(changed), changed
+    near_misses = [
+        BraidWord(5, (1, 2, 3, 4, 1, 2, 4, 4)),  # one letter changed
+        BraidWord(5, (2, 3, 4, 1) * 3),  # the run starts at sigma_2
+        BraidWord(5, (1, 2, 3, 4) * 3 + _full_twist_block(5, -1)),  # a twist on r = n strands
+        BraidWord(5, (1, 2, 3, 4) * 2 + _full_twist_block(3, -1)[:-1]),  # a twist cut short
+        BraidWord(5, (1, 2, 3, 4, 1, 2, 3)),  # a partial period
+        BraidWord(1, ()),
+        BraidWord(4, ()),
+    ]
+    for w in near_misses:
+        assert not _is_twisted_torus_word(w) and not _shape_oracle(w), w
+    for w in (twisted_torus_braid(9, 5, 7, -1), torus_braid(9, 10), torus_braid(8, -11)):
+        assert _is_twisted_torus_word(w)
+
+
+def test_a_twisted_torus_bracket_takes_the_module_route(monkeypatch):
+    monkeypatch.setattr(temperley_lieb, "_DIAGRAMS", {})
+    kauffman_bracket(twisted_torus_braid(9, 5, 7, -1))
+    kauffman_bracket(torus_braid(8, -9))
+    assert temperley_lieb._DIAGRAMS == {}
+    kauffman_bracket(BraidWord(9, (1, 2, 3, 4, 5, 6, 7, -8)))
+    assert set(temperley_lieb._DIAGRAMS) == {9}
+
+
+@pytest.mark.parametrize("corrupt", [lambda base, packed: (base + 2, packed),
+                                     lambda base, packed: (base, packed + 1)],
+                         ids=["exponent-off-by-2", "trace-off-by-1"])
+def test_a_corrupted_module_trace_raises(monkeypatch, corrupt):
+    real_run = temperley_lieb._module_run
+
+    def corrupted(strands, starts, letters):
+        state, modules, width = real_run(strands, starts, letters)
+        # key 0: the all-defect state of W_n, a diagonal entry of every word;
+        # with n even, Delta_n(0) = +-1, so a changed trace leaves a remainder
+        state[0] = corrupt(*state[0])
+        return state, modules, width
+
+    monkeypatch.setattr(temperley_lieb, "_module_run", corrupted)
+    with pytest.raises(InternalInvariantViolation):
+        kauffman_bracket(torus_braid(4, 3))
