@@ -191,8 +191,8 @@ def _selftest_suites(args):
         if [tl.catalan(n) for n in range(1, 11)] != expected:
             return False
         for n in range(1, 9):
-            ids = tl._basis(n)
-            pairings = {tl._diagrams(n).pairings[d] for d in ids}
+            diagrams, ids = tl._diagrams(n), tl._basis(n)
+            pairings = {diagrams.pairings[d] for d in ids}
             if not (len(ids) == len(pairings) == expected[n - 1]
                     and all(tl._is_noncrossing_pairing(p) for p in pairings)):
                 return False
@@ -237,15 +237,15 @@ def _selftest_suites(args):
         # diagram and on every link state of every cell module, stepped by the
         # kernels the bracket runs
         for n in range(2, 6):
-            routes = [(tl._transfer, tl._basis(n)), (tl._module_transfer, range(len(tl._modules(n).defects)))]
-            for transfer, starts in routes:
+            modules = tl._modules(n)
+            for tables, starts in ((tl._diagrams(n), tl._basis(n)), (modules, range(len(modules.defects)))):
                 for d in starts:
                     one = {d: LaurentPoly.one()}
                     for i in range(1, n):
-                        if transfer(n, d, (i, -i)) != one or transfer(n, d, (-i, i)) != one:
+                        if tl._transfer(tables, d, (i, -i)) != one or tl._transfer(tables, d, (-i, i)) != one:
                             return False
                     for i in range(1, n - 1):
-                        if transfer(n, d, (i, i + 1, i)) != transfer(n, d, (i + 1, i, i + 1)):
+                        if tl._transfer(tables, d, (i, i + 1, i)) != tl._transfer(tables, d, (i + 1, i, i + 1)):
                             return False
         return True
 

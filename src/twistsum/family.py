@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .errors import InternalInvariantViolation, TooManyStrands
@@ -301,13 +302,17 @@ def family_verify(
     )
 
 
-def family_enumerate(a_max: int, k1_max: int, k2_max: int) -> tuple[FamilyParams, ...]:
-    """All family parameters within the bounds, in lexicographic order."""
+def family_enumerate(a_max: int, k1_max: int, k2_max: int) -> Iterator[FamilyParams]:
+    """All family parameters within the bounds, in lexicographic order, yielded one at a time.
+
+    The bounds are checked at the call; the members are made only as they are
+    asked for, so a box too large to hold in memory still streams.
+    """
     if a_max < 1 or k1_max < 2 or k2_max < 2:
         raise ValueError(
             f"bounds must allow a >= 1, k1 >= 2, k2 >= 2: got ({a_max}, {k1_max}, {k2_max})"
         )
-    return tuple(
+    return (
         FamilyParams(a, k1, k2)
         for a in range(1, a_max + 1)
         for k1 in range(2, k1_max + 1)

@@ -86,7 +86,7 @@ def test_criterion_2_example2_verification_with_jones_skip(capsys):
 
 def test_criterion_3_family_grid():
     start = time.perf_counter()
-    grid = family_enumerate(3, 4, 4)
+    grid = tuple(family_enumerate(3, 4, 4))
     assert len(grid) == 27
     for fp in grid:
         report = family_verify(fp, "alexander")
@@ -200,9 +200,9 @@ def test_criterion_6_property_suites():
         diagrams = _diagrams(n)
         for d in [diagrams.intern(p) for p in enumerate_pairings(n)]:
             for i in range(1, n):
-                assert _transfer(n, d, (i, -i)) == {d: one}
+                assert _transfer(diagrams, d, (i, -i)) == {d: one}
             for i in range(1, n - 1):
-                assert _transfer(n, d, (i, i + 1, i)) == _transfer(n, d, (i + 1, i, i + 1))
+                assert _transfer(diagrams, d, (i, i + 1, i)) == _transfer(diagrams, d, (i + 1, i, i + 1))
 
     elapsed = time.perf_counter() - start
     print(f"PASS criterion 6: randomized Markov/multiplicativity/Catalan/relation suites ({elapsed:.1f}s)")

@@ -343,8 +343,8 @@ def test_selftest_checks_the_kernels_the_pipelines_run(monkeypatch):
         real_apply_run(cols, a, 1, d)
 
     monkeypatch.setattr(burau_mod, "_apply_run", first_letter_of_each_run)
-    monkeypatch.setattr(tl_mod, "_DIAGRAMS", {})
-    # tables built from the broken rules go to a fresh cache; the shared one is left as it was
+    # tables built from the broken rules go to fresh caches; the shared ones are left as they were
+    monkeypatch.setattr(tl_mod, "_diagrams", functools.cache(tl_mod._Diagrams))
     monkeypatch.setattr(tl_mod, "_modules", functools.lru_cache(maxsize=4)(tl_mod._Modules))
     monkeypatch.setattr(tl_mod, "_cupcap", lambda pairing, j: (pairing, 1))
     suites = dict(_selftest_suites(SimpleNamespace(seed=0, jones_threshold=None)))

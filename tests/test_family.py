@@ -182,15 +182,18 @@ def test_verify_level_validation():
 
 
 def test_family_enumerate():
-    assert family_enumerate(1, 2, 2) == (FamilyParams(1, 2, 2),)
-    assert family_enumerate(1, 3, 2) == (FamilyParams(1, 2, 2), FamilyParams(1, 3, 2))
-    grid = family_enumerate(2, 3, 3)
+    assert tuple(family_enumerate(1, 2, 2)) == (FamilyParams(1, 2, 2),)
+    assert tuple(family_enumerate(1, 3, 2)) == (FamilyParams(1, 2, 2), FamilyParams(1, 3, 2))
+    grid = tuple(family_enumerate(2, 3, 3))
     assert len(grid) == 8
     assert grid == tuple(sorted(grid, key=lambda fp: (fp.a, fp.k1, fp.k2)))
+    # bad bounds raise at the call, before anything is iterated
     with pytest.raises(ValueError):
         family_enumerate(0, 2, 2)
     with pytest.raises(ValueError):
         family_enumerate(1, 1, 2)
+    # a box no tuple could hold still yields its first member
+    assert next(iter(family_enumerate(2**63 + 1, 2, 2))) == FamilyParams(1, 2, 2)
 
 
 def test_report_json_schema():

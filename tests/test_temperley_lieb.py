@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import math
 import pathlib
@@ -36,12 +37,16 @@ from twistsum.temperley_lieb import (
     _is_twisted_torus_word,
     _link_states,
     _module_bracket,
-    _module_transfer,
     _modules,
     _rotated,
     _transfer,
     catalan,
 )
+
+
+def _fresh_diagrams(monkeypatch):
+    """Give the diagram tables a fresh, empty cache for the rest of the test."""
+    monkeypatch.setattr(temperley_lieb, "_diagrams", functools.cache(temperley_lieb._Diagrams))
 
 CATALAN_EXPECTED = [1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 
@@ -61,15 +66,15 @@ def test_enumerate_matchings_counts():
 @pytest.mark.parametrize("tables", ["shared", "cold"])
 def test_reachable_basis_is_every_noncrossing_pairing(monkeypatch, tables):
     if tables == "cold":
-        monkeypatch.setattr(temperley_lieb, "_DIAGRAMS", {})
+        _fresh_diagrams(monkeypatch)
     for n in range(1, 9):
         ids = _basis(n)
         assert ids[0] == 0 and len(set(ids)) == len(ids) == catalan(n)
-        pairings = _diagrams(n).pairings
-        assert {pairings[d] for d in ids} == set(enumerate_pairings(n))
+        diagrams = temperley_lieb._diagrams(n)
+        assert {diagrams.pairings[d] for d in ids} == set(enumerate_pairings(n))
         # every table entry of the basis is filled, and stays inside it
         basis = set(ids)
-        assert all(0 <= row[d] and row[d] >> 1 in basis for row in _diagrams(n).moves for d in ids)
+        assert all(0 <= row[d] and row[d] >> 1 in basis for row in diagrams.moves for d in ids)
 
 
 def test_matching_validation():
@@ -92,24 +97,25 @@ def _basis_ids(n):
 
 def test_apply_letter_on_identity():
     cupcap = _diagrams(2).intern((1, 0, 3, 2))
-    assert _transfer(2, 0, (1,)) == {
+    assert _transfer(_diagrams(2), 0, (1,)) == {
         0: LaurentPoly.monomial(1),
         cupcap: LaurentPoly.monomial(-1),
     }
 
 
-def _link_state_ids(n):
-    return range(len(_modules(n).defects))
+def _routes(n):
+    """Each route's tables on n strands with every diagram or link state to start from."""
+    return ((_diagrams(n), _basis_ids(n)), (_modules(n), range(len(_modules(n).defects))))
 
 
 def test_apply_letter_then_inverse_is_identity_action():
     one = LaurentPoly.one()
     for n in range(2, 5):
-        for transfer, starts in ((_transfer, _basis_ids(n)), (_module_transfer, _link_state_ids(n))):
+        for tables, starts in _routes(n):
             for d in starts:
                 for i in range(1, n):
-                    assert transfer(n, d, (i, -i)) == {d: one}
-                    assert transfer(n, d, (-i, i)) == {d: one}
+                    assert _transfer(tables, d, (i, -i)) == {d: one}
+                    assert _transfer(tables, d, (-i, i)) == {d: one}
 
 
 def test_cup_cap_relations():
@@ -130,10 +136,10 @@ def test_cup_cap_relations():
 
 def test_apply_letter_braid_relation():
     for n in range(3, 5):
-        for transfer, starts in ((_transfer, _basis_ids(n)), (_module_transfer, _link_state_ids(n))):
+        for tables, starts in _routes(n):
             for d in starts:
                 for i in range(1, n - 1):
-                    assert transfer(n, d, (i, i + 1, i)) == transfer(n, d, (i + 1, i, i + 1))
+                    assert _transfer(tables, d, (i, i + 1, i)) == _transfer(tables, d, (i + 1, i, i + 1))
 
 
 def test_bracket_base_cases():
@@ -300,14 +306,15 @@ def test_bracket_independent_of_table_state(monkeypatch):
     assert [kauffman_bracket(w) for w in words] == warm
     cold = []
     for w in words:
-        monkeypatch.setattr(temperley_lieb, "_DIAGRAMS", {})
+        _fresh_diagrams(monkeypatch)
         cold.append(kauffman_bracket(w))
     assert cold == warm
     # ids assigned in another order: tables first filled from arbitrary diagrams
-    monkeypatch.setattr(temperley_lieb, "_DIAGRAMS", {})
+    _fresh_diagrams(monkeypatch)
     for n in range(2, 7):
+        diagrams = temperley_lieb._diagrams(n)
         for pairing in list(enumerate_pairings(n))[::-3]:
-            _transfer(n, _diagrams(n).intern(pairing), (n - 1,))
+            _transfer(diagrams, diagrams.intern(pairing), (n - 1,))
     assert [kauffman_bracket(w) for w in reversed(words)] == warm[::-1]
 
 
@@ -326,7 +333,7 @@ def test_bracket_tables_shared_across_threads(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(40):
-            monkeypatch.setattr(temperley_lieb, "_DIAGRAMS", {})
+            _fresh_diagrams(monkeypatch)
             results = [None] * len(words)
             threads = [threading.Thread(target=work, args=(k, results)) for k in range(4)]
             for t in threads:
@@ -454,27 +461,40 @@ def test_shape_check_accepts_the_family_words_and_rejects_near_misses():
 
 
 def test_a_twisted_torus_bracket_takes_the_module_route(monkeypatch):
-    monkeypatch.setattr(temperley_lieb, "_DIAGRAMS", {})
+    _fresh_diagrams(monkeypatch)
     kauffman_bracket(twisted_torus_braid(9, 5, 7, -1))
     kauffman_bracket(torus_braid(8, -9))
-    assert temperley_lieb._DIAGRAMS == {}
+    cache = temperley_lieb._diagrams
+    assert cache.cache_info().currsize == 0
     kauffman_bracket(BraidWord(9, (1, 2, 3, 4, 5, 6, 7, -8)))
-    assert set(temperley_lieb._DIAGRAMS) == {9}
+    # one strand count cached, and asking for 9 adds none
+    assert cache.cache_info().currsize == 1
+    cache(9)
+    assert cache.cache_info().currsize == 1
 
 
-@pytest.mark.parametrize("corrupt", [lambda base, packed: (base + 2, packed),
-                                     lambda base, packed: (base, packed + 1)],
-                         ids=["exponent-off-by-2", "trace-off-by-1"])
-def test_a_corrupted_module_trace_raises(monkeypatch, corrupt):
-    real_run = temperley_lieb._module_run
+# Key 0 is in the stepped state of both routes. On the module route it is the
+# all-defect state of W_n, a diagonal entry of every word; with n even,
+# Delta_n(0) = +-1, so a changed trace leaves a remainder. On the full
+# transfer it is the identity diagram, which only the all-straight smoothing
+# reaches; the figure-eight word is outside the twisted torus shape, so it
+# takes that route.
+@pytest.mark.parametrize("word, corrupt", [
+    (torus_braid(4, 3), lambda base, packed: (base + 2, packed)),
+    (torus_braid(4, 3), lambda base, packed: (base, packed + 1)),
+    (BraidWord(3, (1, -2, 1, -2)), lambda base, packed: (base + 2, packed)),
+], ids=["exponent-off-by-2", "trace-off-by-1", "full-transfer-exponent-off-by-2"])
+def test_a_corrupted_module_trace_raises(monkeypatch, word, corrupt):
+    real_run = temperley_lieb._run
+    routes = []
 
-    def corrupted(strands, starts, letters):
-        state, modules, width = real_run(strands, starts, letters)
-        # key 0: the all-defect state of W_n, a diagonal entry of every word;
-        # with n even, Delta_n(0) = +-1, so a changed trace leaves a remainder
+    def corrupted(tables, starts, letters):
+        routes.append(type(tables))
+        state, width = real_run(tables, starts, letters)
         state[0] = corrupt(*state[0])
-        return state, modules, width
+        return state, width
 
-    monkeypatch.setattr(temperley_lieb, "_module_run", corrupted)
+    monkeypatch.setattr(temperley_lieb, "_run", corrupted)
     with pytest.raises(InternalInvariantViolation):
-        kauffman_bracket(torus_braid(4, 3))
+        kauffman_bracket(word)
+    assert routes == [temperley_lieb._Modules if _is_twisted_torus_word(word) else temperley_lieb._Diagrams]
