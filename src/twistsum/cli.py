@@ -191,22 +191,25 @@ def _selftest_suites(args):
         if [tl.catalan(n) for n in range(1, 11)] != expected:
             return False
         for n in range(1, 9):
-            diagrams, ids = tl._diagrams(n), tl._basis(n)
-            pairings = {diagrams.pairings[d] for d in ids}
+            diagrams = tl._diagrams(n)
+            ids = tl._reachable(diagrams)
+            pairings = {diagrams.states[d] for d in ids}
             if not (len(ids) == len(pairings) == expected[n - 1]
                     and all(tl._is_noncrossing_pairing(p) for p in pairings)):
                 return False
         # the cell modules the trace steps: C(n, (n-k)/2) - C(n, (n-k)/2 - 1)
         # link states with k defects, squares summing to C(n), and no table
-        # entry leaving its module
+        # entry, filled by the walk as the kernel fills it, leaving its module
         for n in range(1, 14):
             modules = tl._modules(n)
-            defects = modules.defects
+            defects = modules.group
             arcs = range(n // 2 + 1)  # (n - k) / 2 for each module
             dims = [defects.count(n - 2 * a) for a in arcs]
             if dims != [comb(n, a) - (comb(n, a - 1) if a else 0) for a in arcs]:
                 return False
             if sum(d * d for d in dims) != tl.catalan(n):
+                return False
+            if tl._reachable(modules) != list(modules.starts):
                 return False
             for row in modules.moves:
                 if any(code >= 0 and defects[code >> 1] != defects[s] for s, code in enumerate(row)):
@@ -237,9 +240,8 @@ def _selftest_suites(args):
         # diagram and on every link state of every cell module, stepped by the
         # kernels the bracket runs
         for n in range(2, 6):
-            modules = tl._modules(n)
-            for tables, starts in ((tl._diagrams(n), tl._basis(n)), (modules, range(len(modules.defects)))):
-                for d in starts:
+            for tables in (tl._diagrams(n), tl._modules(n)):
+                for d in tl._reachable(tables):
                     one = {d: LaurentPoly.one()}
                     for i in range(1, n):
                         if tl._transfer(tables, d, (i, -i)) != one or tl._transfer(tables, d, (-i, i)) != one:

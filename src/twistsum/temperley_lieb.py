@@ -1,9 +1,10 @@
 """Kauffman bracket and Jones polynomial of a braid closure via Temperley-Lieb transfers.
 
 Two routes compute the bracket: a transfer over all diagrams from the
-identity, and a sum of traces on the cell modules. Both step the same packed
-coefficients through one kernel, ``_step``; they differ in what a state key
-names and in how the stepped state is closed.
+identity, and a sum of traces on the cell modules. Both compute
+delta <closure(b)> as a weighted sum of diagonal entries, through one kind of
+table, one kernel (``_step``) and one closing path (``_bracket``); they differ
+in their tables, their start states, their letter order and their weights.
 
 Diagrams. A planar (Temperley-Lieb) diagram on n strands is a perfect
 noncrossing matching of 2n boundary points. The points are numbered in a
@@ -23,22 +24,32 @@ matched to each other, closes a loop, multiplying the coefficient by
 delta = -A^2 - A^{-2}. Letters act on each basis diagram locally, so the
 state is a sparse map from diagrams to coefficients; materializing
 C(n) x C(n) generator matrices would waste memory. Closing the braid matches
-bottom point i with the top point above it and contributes delta^(loops - 1).
+bottom point i with the top point above it; a diagram whose closure has m
+loops contributes delta^(m - 1) to the bracket, so delta^m to
+delta <closure(b)>.
 
-Ids and tables. Each diagram a word reaches gets an integer id, interned per
-strand count. For generator j there is a table giving, per id,
-``target_id * 2 + loop``: the diagram the cup-cap at j composes it into, and
-whether that closed a loop. Table entries are filled on first use, only for
-the diagrams a word actually reaches, and kept per strand count for later
-words, so a letter step is a list lookup instead of a tuple rewrite and a
-hash. Nothing is built at import time. Both routes run through the same
-three functions: ``_run`` steps a set of start vectors through the word,
-``_transfer`` decodes one start's stepped state per diagram or link state
-(the selftest and the tests check the algebra's relations through it), and
-``_closed`` sums the closing terms with their weights.
+Ids and tables. Both routes use one table type, ``_Tables``, per strand
+count. It gives each diagram or link state a word reaches an integer id, the
+start states first: the identity for the full transfer (``_diagrams``), every
+link state of every cell module for the trace (``_modules``). ``group[d]``
+picks the closing weight of d: the loops of a diagram's closure, or the
+defects of a link state. For generator j a row gives, per id,
+``target_id * 2 + loop``: the state the cup-cap at j composes it into, and
+whether that closed a loop; -1 marks an entry not yet computed, -2 a term a
+cell module drops. Entries are filled on first use, by ``move``, only for the
+states a word actually reaches, and kept for later words, so a letter step
+is a list lookup instead of a tuple rewrite and a hash. Nothing is built at
+import time. Both routes run through the same functions: ``_run`` steps a
+set of start vectors through the word, ``_transfer`` decodes one start's
+stepped state per diagram or link state (the selftest and the tests check
+the algebra's relations through it), ``_closed`` sums the closing terms with
+their weights, and ``_bracket`` divides that sum by delta and decodes it.
+``_reachable`` walks the tables from the starts, filling them as the kernel
+does; the selftest counts the Catalan basis and the modules' closure with it.
 
-The diagram tables stay lazy and keep every strand count a process has used.
-Built in full, as the arc-only link states on 2n points, they took 0.52 s
+The diagram tables keep every strand count a process has used; the module
+tables, at most C(n, floor(n/2)) states each, keep the last four. Diagram
+tables built in full, as the arc-only link states on 2n points, took 0.52 s
 and a 55 MB peak at 11 strands and 3.4 s and 169 MB at 12 (one 2-core Xeon
 host), while the lazy transfer of a random 25-letter 12-strand word took
 0.004-0.072 s and reached 576-4,992 of the 208,012 diagrams (three seeds),
@@ -102,18 +113,19 @@ Writing Delta_k = A^(-2k) Q_k(x) gives Q_0 = 1, Q_1 = -(1 + x) and
 Q_(k+1) = -(1 + x) Q_k - x Q_(k-1).
 
 Module route. Link states get the ids 0, 1, ... over all modules of one
-strand count, and their tables are built in full, for every link state and
-generator, the first time that strand count is asked for (never at import).
-Every link state s of every module starts with coefficient 1, and ``_run``
-steps all of them through the word as one packed state whose key for start
-s at link state t is (s << S) | t, S the bit length of the number of link
-states; the kernel reads the tables at t and keeps the start bits. The full
-transfer runs through the same ``_run`` with the identity as its one start
-and S = 0, so its keys are diagram ids. The entries with t = s are the
-diagonals. ``_closed`` sums them per module into tr_k, weighted by
-A^(-2k) Q_k(x), as it weights each diagram of the full transfer by the
-delta^m of its closure; the sum is divided exactly by 1 + 2^W, the packed
-1 + x of delta = -A^(-2)(1 + x), and decoded once.
+strand count, module by module from k = n defects down, and every one of
+them is a start. Each starts with coefficient 1, and ``_run`` steps all of
+them through the word as one packed state whose key for start s at link
+state t is (s << S) | t, S the bit length of the largest start id; the
+kernel reads the tables at t and keeps the start bits. The entries with
+t = s are the diagonals. The full transfer runs through the same ``_run``
+with the identity as its one start and S = 0, so its keys are diagram ids
+and every key is its own diagonal. ``_closed`` sums the diagonals per group:
+per module into tr_k, weighted by A^(-2k) Q_k(x), and per loop count m,
+weighted by delta^m = A^(-2m) (-(1 + x))^m. Either sum is delta <closure(b)>;
+it is divided exactly by 1 + 2^W, the packed 1 + x of
+delta = -A^(-2)(1 + x), and decoded once. In the full transfer every weight
+is a multiple of delta, so there the division always leaves no remainder.
 
 Exponents mod 4 in the modules. Over Z[delta] the algebra is graded mod 2 with
 every E_j and delta odd: its defining relations E_j^2 = delta E_j,
@@ -149,17 +161,18 @@ the reversed word has the same bracket. On the paper's family it reaches
 fewer entries: 51,410 against 64,183 for TT(9,5,7,-1), and 3.5-5.0 million
 against 4.8-6.5 million for the 13-strand members.
 
-Why both routes. The module route starts from all C(n, floor(n/2)) link
-states at once, where the full transfer starts from the identity alone, and
-random words fill its state: on the 1,800 words of the small-braids
-benchmark (seed 1) it steps 1,552,764 entries against 528,220 and takes
-two to three times as long. On torus and twisted torus words it stays sparse:
-on the four jones-9 words (TT(9,5,7,-1), T(9,10), T(8,9), T(8,11)) it steps
-51,410, 35,886, 12,221 and 15,113 entries where the full transfer steps
-128,315, 288,043, 66,857 and 86,877. Its tables hold the C(n, floor(n/2))
-link states (1,716 at n = 13), where the full transfer interns every diagram
-it reaches, up to C(n) (742,900 at n = 13).
-So ``kauffman_bracket`` takes the module route for exactly the words of that
+Why both routes. The two routes share every function but their table
+constructors, and differ most in where they start. The module route starts
+from all C(n, floor(n/2)) link states at once, where the full transfer
+starts from the identity alone, and random words fill its state: on the
+1,800 words of the small-braids benchmark (seed 1) it steps 1,552,764
+entries against 528,220 and takes two to three times as long. On torus and
+twisted torus words it stays sparse: on the four jones-9 words
+(TT(9,5,7,-1), T(9,10), T(8,9), T(8,11)) it steps 51,410, 35,886, 12,221
+and 15,113 entries where the full transfer steps 128,315, 288,043, 66,857
+and 86,877. Its tables hold the C(n, floor(n/2)) link states (1,716 at
+n = 13), where the full transfer interns every diagram it reaches, up to
+C(n) (742,900 at n = 13). So ``kauffman_bracket`` takes the module route for exactly the words of that
 shape, (s1 ... s_(n-1))^q or its mirror, q >= 1, then full twists of either
 sign on strands 1..r, r < n, and the full transfer for every other word.
 
@@ -240,11 +253,11 @@ def _cupcap(state: tuple[int, ...], j: int) -> tuple[tuple[int, ...], int] | Non
     return tuple(new), 0
 
 
-def _closure_loops(pairing: tuple[int, ...], strands: int) -> int:
-    closure = _identity_pairing(strands)
-    seen = [False] * (2 * strands)
+def _closure_loops(pairing: tuple[int, ...]) -> int:
+    last = len(pairing) - 1  # the closure joins point i with point last - i
+    seen = [False] * len(pairing)
     loops = 0
-    for start in range(2 * strands):
+    for start in range(len(pairing)):
         if seen[start]:
             continue
         loops += 1
@@ -253,76 +266,86 @@ def _closure_loops(pairing: tuple[int, ...], strands: int) -> int:
             seen[v] = True
             partner = pairing[v]
             seen[partner] = True
-            v = closure[partner]
+            v = last - partner
     return loops
 
 
-class _Diagrams:
-    """Integer ids for the diagrams on one strand count, with lazily filled cup-cap tables.
+class _Tables:
+    """Integer ids for the diagrams or link states on one strand count, with lazily filled cup-cap tables.
 
-    ``moves[j][d]`` is ``target * 2 + loop`` for the cup-cap at bottom
-    positions (j, j+1) composed under diagram ``d``, or -1 while not yet
-    computed. ``closure[d]`` is the number of loops of d's braid closure,
-    minus one. Id 0 is the identity diagram. A transfer starts from one
-    diagram, so with ``shift`` 0 a state key is the diagram id itself and
-    ``mask`` keeps every bit.
+    ``starts`` are the ids of the states passed in, interned first; any other
+    state gets the next id when a move first reaches it. ``group[d]`` picks
+    the closing weight of d: the loops of a diagram's braid closure, or the
+    defects of a link state, the module it spans. ``moves[j][d]`` is
+    ``target * 2 + loop`` for the cup-cap at bottom positions (j, j+1)
+    composed under d, -1 while not yet computed, or -2 where the term is 0
+    in a cell module (j and j+1 both defects). A state key is
+    ``(start << shift) | d``, so ``mask`` recovers d; with one start,
+    ``shift`` is 0, ``mask`` keeps every bit and a key is the id itself.
 
     The tables are shared by every caller in the process. A new id is
     published only after every row holds an entry for it, under a lock, so
-    the lock-free reads of the transfer never see a partial diagram.
+    the lock-free reads of the transfer never see a partial state.
     """
 
-    __slots__ = ("strands", "pairings", "ids", "moves", "closure", "lock")
-    shift = 0
-    mask = -1
+    __slots__ = ("strands", "states", "ids", "group", "grouping", "moves", "lock", "starts", "shift", "mask")
 
-    def __init__(self, strands: int):
+    def __init__(self, strands: int, starts: list[tuple[int, ...]], grouping):
         self.strands = strands
-        self.pairings: list[tuple[int, ...]] = []
+        self.states: list[tuple[int, ...]] = []
         self.ids: dict[tuple[int, ...], int] = {}
+        self.group: list[int] = []
+        self.grouping = grouping
         self.moves: list[list[int]] = [[] for _ in range(strands - 1)]
-        self.closure: list[int] = []
         self.lock = threading.Lock()
-        self.intern(_identity_pairing(strands))
+        for state in starts:
+            self.intern(state)
+        self.starts = range(len(starts))
+        self.shift = (len(starts) - 1).bit_length()
+        self.mask = (1 << self.shift) - 1 or -1
 
-    def intern(self, pairing: tuple[int, ...]) -> int:
+    def intern(self, state: tuple[int, ...]) -> int:
         with self.lock:
-            d = self.ids.get(pairing)
+            d = self.ids.get(state)
             if d is None:
-                d = len(self.pairings)
-                self.pairings.append(pairing)
+                d = len(self.states)
+                self.states.append(state)
                 for row in self.moves:
                     row.append(-1)
-                self.closure.append(_closure_loops(pairing, self.strands) - 1)
-                self.ids[pairing] = d
+                self.group.append(self.grouping(state))
+                self.ids[state] = d
             return d
 
     def move(self, j: int, d: int) -> int:
-        new, loops = _cupcap(self.pairings[d], j)
-        code = self.moves[j][d] = self.intern(new) * 2 + loops
+        moved = _cupcap(self.states[d], j)
+        code = -2 if moved is None else self.intern(moved[0]) * 2 + moved[1]
+        self.moves[j][d] = code
         return code
 
 
-_diagrams = functools.cache(_Diagrams)
+@functools.cache
+def _diagrams(strands: int) -> _Tables:
+    """The full transfer's tables: the identity is the one start; kept for every strand count used."""
+    return _Tables(strands, [_identity_pairing(strands)], _closure_loops)
 
 
-def _basis(strands: int) -> list[int]:
-    """Ids of every diagram reachable from the identity through the cup-cap tables ``_step`` reads.
+def _reachable(tables: _Tables) -> list[int]:
+    """Ids of every state reachable from the starts through the cup-cap tables ``_step`` reads.
 
-    The cup-caps generate the diagram algebra, so these are its C(strands)
-    basis diagrams. Table entries still missing are filled on the way.
+    From the identity these are the C(strands) basis diagrams, as the
+    cup-caps generate the diagram algebra; on the cell modules they are the
+    starts. Table entries still missing are filled on the way, by the
+    ``move`` the kernel calls.
     """
-    diagrams = _diagrams(strands)
-    order, reached = [0], {0}
+    order, reached = list(tables.starts), set(tables.starts)
     for d in order:  # grows while it is walked: a breadth-first search
-        for j, row in enumerate(diagrams.moves):
+        for j, row in enumerate(tables.moves):
             code = row[d]
-            if code < 0:
-                code = diagrams.move(j, d)
-            target = code >> 1
-            if target not in reached:
-                reached.add(target)
-                order.append(target)
+            if code == -1:
+                code = tables.move(j, d)
+            if code >= 0 and code >> 1 not in reached:
+                reached.add(code >> 1)
+                order.append(code >> 1)
     return sorted(order)
 
 
@@ -359,41 +382,14 @@ def _link_states(strands: int, defects: int) -> list[tuple[int, ...]]:
     return states
 
 
-class _Modules:
-    """The link states of every cell module on one strand count, with their cup-cap tables in full.
-
-    States get the ids 0, 1, ... module by module, from k = n defects down;
-    ``defects[s]`` is the defect count k of state s, the module it spans. A
-    state key is ``(start << shift) | s``, so ``mask`` recovers s.
-    ``moves[j][s]`` is ``target * 2 + loop`` for the cup-cap at (j, j+1)
-    applied to s, or -1 where it is 0 in the module (j and j+1 both
-    defects). Every entry is built here; nothing is filled later, so the
-    tables never change once returned.
-    """
-
-    __slots__ = ("strands", "defects", "moves", "shift", "mask")
-    move = None  # no entry is missing: -1 is the module's zero
-
-    def __init__(self, strands: int):
-        self.strands = strands
-        states = [s for k in range(strands, -1, -2) for s in _link_states(strands, k)]
-        ids = {s: i for i, s in enumerate(states)}
-        self.defects = [s.count(-1) for s in states]
-        self.moves = []
-        for j in range(strands - 1):
-            row = []
-            for s in states:
-                moved = _cupcap(s, j)
-                row.append(-1 if moved is None else ids[moved[0]] * 2 + moved[1])
-            self.moves.append(row)
-        self.shift = len(states).bit_length()
-        self.mask = (1 << self.shift) - 1
+@functools.lru_cache(maxsize=4)
+def _modules(strands: int) -> _Tables:
+    """The cell modules' tables: every link state starts, module by module from k = n defects down."""
+    states = [s for k in range(strands, -1, -2) for s in _link_states(strands, k)]
+    return _Tables(strands, states, lambda state: state.count(-1))
 
 
-_modules = functools.lru_cache(maxsize=4)(_Modules)
-
-
-def _step(state: dict, letter: int, tables: _Diagrams | _Modules, width: int) -> dict:
+def _step(state: dict, letter: int, tables: _Tables, width: int) -> dict:
     """One letter of the transfer on packed coefficients ``{key: (base, P)}``.
 
     A key's low bits (``key & tables.mask``) are the diagram or link state
@@ -406,16 +402,16 @@ def _step(state: dict, letter: int, tables: _Diagrams | _Modules, width: int) ->
     shift = -2 if letter > 0 else 2
     table = tables.moves[j]
     mask = tables.mask
-    fill = tables.move
     out = dict(state)
     get = out.get
     for key, (base, packed) in state.items():
         d = key & mask
         code = table[d]
         if code < 0:
-            if fill is None:  # both defects: the cell module drops the term
+            if code == -1:
+                code = tables.move(j, d)
+            if code == -2:  # both defects: the cell module drops the term
                 continue
-            code = fill(j, d)
         target = key - d + (code >> 1)
         if code & 1:
             base += shift - 2
@@ -441,7 +437,7 @@ def _step(state: dict, letter: int, tables: _Diagrams | _Modules, width: int) ->
     return out
 
 
-def _run(tables: _Diagrams | _Modules, starts, letters: tuple[int, ...]) -> tuple[dict, int]:
+def _run(tables: _Tables, starts, letters: tuple[int, ...]) -> tuple[dict, int]:
     """Every diagram or link state in ``starts`` with coefficient 1, stepped through ``letters`` as one state.
 
     The entry for start s at t is keyed ``(s << tables.shift) | t``. Returns
@@ -449,14 +445,13 @@ def _run(tables: _Diagrams | _Modules, starts, letters: tuple[int, ...]) -> tupl
     stepped at; the width bound holds for the state before closure too.
     """
     width = (3 ** len(letters)).bit_length() + tables.strands + 1
-    shift = tables.shift
-    state = {(s << shift) | s: (0, 1) for s in starts}
+    state = {(s << tables.shift) | s: (0, 1) for s in starts}
     for letter in letters:
         state = _step(state, letter, tables, width)
     return state, width
 
 
-def _transfer(tables: _Diagrams | _Modules, s: int, letters: tuple[int, ...]) -> dict[int, LaurentPoly]:
+def _transfer(tables: _Tables, s: int, letters: tuple[int, ...]) -> dict[int, LaurentPoly]:
     """Diagram or link state ``s`` stepped through ``letters``, decoded per diagram or link state.
 
     The selftest and the tests check the relations of the algebra through
@@ -554,47 +549,43 @@ def _closed(terms: list[tuple[int, int, int]], weights: list[int], width: int) -
     return low, sum(weights[g] * total for g, total in sums.items())
 
 
-def _diagram_bracket(b: BraidWord) -> LaurentPoly:
-    """The bracket by the full-diagram transfer from the identity, then the closure of each diagram."""
-    diagrams = _diagrams(b.strands)
-    state, width = _run(diagrams, (0,), _rotated(b.letters))
-    closure = diagrams.closure
-    x = 1 << width
-    weights = [(-1 - x) ** m for m in range(b.strands)]
-    low, total = _closed([(closure[d], base, packed) for d, (base, packed) in state.items()], weights, width)
-    return _wrap(_unpack(low + writhe(b), total, width, 4))
+def _bracket(b: BraidWord, tables: _Tables) -> LaurentPoly:
+    """The bracket from the diagonal entries of every start stepped through the word, divided by delta.
 
-
-def _module_bracket(b: BraidWord) -> LaurentPoly:
-    """The bracket from the traces on the cell modules: delta <closure> = sum_k Delta_k(delta) tr_k."""
-    modules = _modules(b.strands)
-    defects, shift, mask = modules.defects, modules.shift, modules.mask
-    # the reversed word closes to a diagram with the same bracket, and the
-    # twisted torus words reach fewer entries that way
-    state, width = _run(modules, range(len(defects)), b.letters[::-1])
+    delta <closure(b)> is the weighted sum of the diagonal entries. With one
+    start (``shift`` 0), the identity, every key is its own diagonal and a
+    diagram whose closure has m loops weighs delta^m. The cell modules, with
+    more starts, step the word reversed and weigh the diagonal of W_k by
+    Delta_k. On one strand both tables hold one state that weighs delta.
+    """
+    # the modules step the word reversed, the full transfer a rotation of it:
+    # neither changes the bracket, and each keeps its own route's state small
+    state, width = _run(tables, tables.starts, b.letters[::-1] if tables.shift else _rotated(b.letters))
     x = 1 << width
-    q = [1, -(1 + x)]
-    while len(q) <= b.strands:
-        q.append(-(1 + x) * q[-1] - x * q[-2])
+    if tables.shift:  # Delta_k = A^(-2k) Q_k(x)
+        weights = [1, -(1 + x)]
+        while len(weights) <= b.strands:
+            weights.append(-(1 + x) * weights[-1] - x * weights[-2])
+    else:  # delta^m = A^(-2m) (-(1 + x))^m
+        weights = [(-1 - x) ** m for m in range(b.strands + 1)]
+    shift, mask, group = tables.shift, tables.mask, tables.group
     diagonal = [
-        (defects[key & mask], base, packed)
+        (group[key & mask], base, packed)
         for key, (base, packed) in state.items()
         if key >> shift == key & mask
     ]
-    low, total = _closed(diagonal, q, width)
+    low, total = _closed(diagonal, weights, width)
     # delta = -A^(-2)(1 + x), so <closure> = -A^(low + 2) total / (1 + x)
     quotient, remainder = divmod(total, 1 + x)
     if remainder:
-        raise InternalInvariantViolation("weighted module traces are not a multiple of delta")
+        raise InternalInvariantViolation("weighted closures are not a multiple of delta")
     return _wrap(_unpack(low + 2 + writhe(b), -quotient, width, 4))
 
 
 def kauffman_bracket(b: BraidWord, threshold: int | None = None) -> LaurentPoly:
     """Kauffman bracket of the braid closure (a Laurent polynomial in A)."""
     _check_strands(b.strands, threshold)
-    if _is_twisted_torus_word(b):
-        return _module_bracket(b)
-    return _diagram_bracket(b)
+    return _bracket(b, _modules(b.strands) if _is_twisted_torus_word(b) else _diagrams(b.strands))
 
 
 def jones_from_braid(b: BraidWord, threshold: int | None = None) -> LaurentPoly:

@@ -344,8 +344,8 @@ def test_selftest_checks_the_kernels_the_pipelines_run(monkeypatch):
 
     monkeypatch.setattr(burau_mod, "_apply_run", first_letter_of_each_run)
     # tables built from the broken rules go to fresh caches; the shared ones are left as they were
-    monkeypatch.setattr(tl_mod, "_diagrams", functools.cache(tl_mod._Diagrams))
-    monkeypatch.setattr(tl_mod, "_modules", functools.lru_cache(maxsize=4)(tl_mod._Modules))
+    monkeypatch.setattr(tl_mod, "_diagrams", functools.cache(tl_mod._diagrams.__wrapped__))
+    monkeypatch.setattr(tl_mod, "_modules", functools.lru_cache(maxsize=4)(tl_mod._modules.__wrapped__))
     monkeypatch.setattr(tl_mod, "_cupcap", lambda pairing, j: (pairing, 1))
     suites = dict(_selftest_suites(SimpleNamespace(seed=0, jones_threshold=None)))
     assert not suites["burau-relations"]()
@@ -354,7 +354,8 @@ def test_selftest_checks_the_kernels_the_pipelines_run(monkeypatch):
     # a module table that joins two adjacent defects instead of sending them to
     # 0; the joined term falls to a module with fewer defects and never returns
     # to a diagonal entry, so brackets stay right and only the closure check
-    # of catalan-basis can see it
+    # of catalan-basis can see it. Diagrams have no defects, so the diagram
+    # tables, rebuilt here, come out right and the basis count passes.
     def join_defects(state, j):
         if state[j] < 0 and state[j + 1] < 0:
             joined = list(state)
@@ -363,7 +364,8 @@ def test_selftest_checks_the_kernels_the_pipelines_run(monkeypatch):
         return real_cupcap(state, j)
 
     monkeypatch.setattr(tl_mod, "_cupcap", join_defects)
-    monkeypatch.setattr(tl_mod, "_modules", functools.lru_cache(maxsize=4)(tl_mod._Modules))
+    monkeypatch.setattr(tl_mod, "_diagrams", functools.cache(tl_mod._diagrams.__wrapped__))
+    monkeypatch.setattr(tl_mod, "_modules", functools.lru_cache(maxsize=4)(tl_mod._modules.__wrapped__))
     suites = dict(_selftest_suites(SimpleNamespace(seed=0, jones_threshold=None)))
     assert not suites["catalan-basis"]()
 

@@ -27,26 +27,27 @@ from twistsum import (
 from twistsum import temperley_lieb
 from twistsum.braid import _full_twist_block
 from twistsum.temperley_lieb import (
-    _basis,
     _basis_size,
+    _bracket,
     _cupcap,
-    _diagram_bracket,
     _diagrams,
     _identity_pairing,
     _is_noncrossing_pairing,
     _is_twisted_torus_word,
     _link_states,
-    _module_bracket,
     _modules,
+    _reachable,
     _rotated,
     _transfer,
     catalan,
 )
 
 
-def _fresh_diagrams(monkeypatch):
-    """Give the diagram tables a fresh, empty cache for the rest of the test."""
-    monkeypatch.setattr(temperley_lieb, "_diagrams", functools.cache(temperley_lieb._Diagrams))
+def _fresh_tables(monkeypatch):
+    """Give the diagram and the module tables fresh, empty caches for the rest of the test."""
+    monkeypatch.setattr(temperley_lieb, "_diagrams", functools.cache(temperley_lieb._diagrams.__wrapped__))
+    monkeypatch.setattr(temperley_lieb, "_modules",
+                        functools.lru_cache(maxsize=4)(temperley_lieb._modules.__wrapped__))
 
 CATALAN_EXPECTED = [1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 
@@ -66,12 +67,12 @@ def test_enumerate_matchings_counts():
 @pytest.mark.parametrize("tables", ["shared", "cold"])
 def test_reachable_basis_is_every_noncrossing_pairing(monkeypatch, tables):
     if tables == "cold":
-        _fresh_diagrams(monkeypatch)
+        _fresh_tables(monkeypatch)
     for n in range(1, 9):
-        ids = _basis(n)
-        assert ids[0] == 0 and len(set(ids)) == len(ids) == catalan(n)
         diagrams = temperley_lieb._diagrams(n)
-        assert {diagrams.pairings[d] for d in ids} == set(enumerate_pairings(n))
+        ids = _reachable(diagrams)
+        assert ids[0] == 0 and len(set(ids)) == len(ids) == catalan(n)
+        assert {diagrams.states[d] for d in ids} == set(enumerate_pairings(n))
         # every table entry of the basis is filled, and stays inside it
         basis = set(ids)
         assert all(0 <= row[d] and row[d] >> 1 in basis for row in diagrams.moves for d in ids)
@@ -105,7 +106,7 @@ def test_apply_letter_on_identity():
 
 def _routes(n):
     """Each route's tables on n strands with every diagram or link state to start from."""
-    return ((_diagrams(n), _basis_ids(n)), (_modules(n), range(len(_modules(n).defects))))
+    return ((_diagrams(n), _basis_ids(n)), (_modules(n), _modules(n).starts))
 
 
 def test_apply_letter_then_inverse_is_identity_action():
@@ -306,11 +307,11 @@ def test_bracket_independent_of_table_state(monkeypatch):
     assert [kauffman_bracket(w) for w in words] == warm
     cold = []
     for w in words:
-        _fresh_diagrams(monkeypatch)
+        _fresh_tables(monkeypatch)
         cold.append(kauffman_bracket(w))
     assert cold == warm
     # ids assigned in another order: tables first filled from arbitrary diagrams
-    _fresh_diagrams(monkeypatch)
+    _fresh_tables(monkeypatch)
     for n in range(2, 7):
         diagrams = temperley_lieb._diagrams(n)
         for pairing in list(enumerate_pairings(n))[::-3]:
@@ -320,9 +321,11 @@ def test_bracket_independent_of_table_state(monkeypatch):
 
 def test_bracket_tables_shared_across_threads(monkeypatch):
     # Threads fill one strand count's tables at once; an id published before
-    # its table rows exist fails here within a few dozen rounds.
+    # its table rows exist fails here within a few dozen rounds. The twisted
+    # torus words fill the module tables, two threads to a strand count.
     rng = random.Random(24)
     words = [random_knot_word(rng, 8, 30) for _ in range(32)]
+    words += [twisted_torus_braid(7, 3, 4, -1), torus_braid(7, 4), torus_braid(6, 7), torus_braid(6, -5)]
     expected = [kauffman_bracket(w) for w in words]
 
     def work(first, results):
@@ -333,7 +336,7 @@ def test_bracket_tables_shared_across_threads(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(40):
-            _fresh_diagrams(monkeypatch)
+            _fresh_tables(monkeypatch)
             results = [None] * len(words)
             threads = [threading.Thread(target=work, args=(k, results)) for k in range(4)]
             for t in threads:
@@ -402,7 +405,7 @@ def _torus_grid():
 def test_module_route_matches_the_full_transfer_on_the_torus_grid():
     for w in _torus_grid():
         assert _is_twisted_torus_word(w)
-        assert _module_bracket(w) == _diagram_bracket(w), w
+        assert _bracket(w, _modules(w.strands)) == _bracket(w, _diagrams(w.strands)), w
 
 
 def test_module_route_matches_the_full_transfer_and_the_pd_oracle_on_random_words():
@@ -410,8 +413,8 @@ def test_module_route_matches_the_full_transfer_and_the_pd_oracle_on_random_word
     for _ in range(400):
         n = rng.randint(2, 9)
         w = random_word(rng, n, rng.randint(1, 8))
-        expected = _diagram_bracket(w)
-        assert _module_bracket(w) == expected, w
+        expected = _bracket(w, _diagrams(n))
+        assert _bracket(w, _modules(n)) == expected, w
         # a strand position no letter touches closes into a circle the PD code
         # cannot carry, a split unknot: one more factor delta
         touched = {p for l in w.letters for p in (abs(l), abs(l) + 1)}
@@ -431,7 +434,7 @@ def test_module_route_matches_the_full_transfer_on_the_small_braids_words():
     words = list(_small_braids_words(1))
     assert len(words) == 1800
     for w in words:
-        assert _module_bracket(w) == _diagram_bracket(w), w
+        assert _bracket(w, _modules(w.strands)) == _bracket(w, _diagrams(w.strands)), w
 
 
 def test_shape_check_accepts_the_family_words_and_rejects_near_misses():
@@ -461,7 +464,7 @@ def test_shape_check_accepts_the_family_words_and_rejects_near_misses():
 
 
 def test_a_twisted_torus_bracket_takes_the_module_route(monkeypatch):
-    _fresh_diagrams(monkeypatch)
+    _fresh_tables(monkeypatch)
     kauffman_bracket(twisted_torus_braid(9, 5, 7, -1))
     kauffman_bracket(torus_braid(8, -9))
     cache = temperley_lieb._diagrams
@@ -489,7 +492,7 @@ def test_a_corrupted_module_trace_raises(monkeypatch, word, corrupt):
     routes = []
 
     def corrupted(tables, starts, letters):
-        routes.append(type(tables))
+        routes.append(tables)
         state, width = real_run(tables, starts, letters)
         state[0] = corrupt(*state[0])
         return state, width
@@ -497,4 +500,6 @@ def test_a_corrupted_module_trace_raises(monkeypatch, word, corrupt):
     monkeypatch.setattr(temperley_lieb, "_run", corrupted)
     with pytest.raises(InternalInvariantViolation):
         kauffman_bracket(word)
-    assert routes == [temperley_lieb._Modules if _is_twisted_torus_word(word) else temperley_lieb._Diagrams]
+    n = word.strands
+    assert len(routes) == 1
+    assert routes[0] is (temperley_lieb._modules(n) if _is_twisted_torus_word(word) else temperley_lieb._diagrams(n))
