@@ -39,11 +39,13 @@ whether that closed a loop; -1 marks an entry not yet computed, -2 a term a
 cell module drops. Entries are filled on first use, by ``move``, only for the
 states a word actually reaches, and kept for later words, so a letter step
 is a list lookup instead of a tuple rewrite and a hash. Nothing is built at
-import time. Both routes run through the same functions: ``_run`` steps a
-set of start vectors through the word, ``_transfer`` decodes one start's
-stepped state per diagram or link state (the selftest and the tests check
-the algebra's relations through it), ``_closed`` sums the closing terms with
-their weights, and ``_bracket`` divides that sum by delta and decodes it.
+import time. A stepped state maps ids to packed coefficients, so on both
+routes its keys are plain diagram or link state ids. Both routes run through
+the same functions: ``_run`` steps one start through the word,
+``_transfer`` decodes its stepped state per diagram or link state (the
+selftest and the tests check the algebra's relations through it),
+``_closed`` sums the closing terms with their weights, and ``_bracket`` runs
+every start, divides the closed sum by delta and decodes it.
 ``_reachable`` walks the tables from the starts, filling them as the kernel
 does; the selftest counts the Catalan basis and the modules' closure with it.
 
@@ -114,18 +116,23 @@ Q_(k+1) = -(1 + x) Q_k - x Q_(k-1).
 
 Module route. Link states get the ids 0, 1, ... over all modules of one
 strand count, module by module from k = n defects down, and every one of
-them is a start. Each starts with coefficient 1, and ``_run`` steps all of
-them through the word as one packed state whose key for start s at link
-state t is (s << S) | t, S the bit length of the largest start id; the
-kernel reads the tables at t and keeps the start bits. The entries with
-t = s are the diagonals. The full transfer runs through the same ``_run``
-with the identity as its one start and S = 0, so its keys are diagram ids
-and every key is its own diagonal. ``_closed`` sums the diagonals per group:
-per module into tr_k, weighted by A^(-2k) Q_k(x), and per loop count m,
-weighted by delta^m = A^(-2m) (-(1 + x))^m. Either sum is delta <closure(b)>;
-it is divided exactly by 1 + 2^W, the packed 1 + x of
+them is a start. ``_bracket`` steps each start s on its own, with
+coefficient 1, through the word and keeps only the entry at s, its diagonal:
+entries of different starts never combine, so a trace needs nothing else.
+The full transfer runs through the same loop with the identity as its one
+start, and there every entry is a diagonal. ``_closed`` sums the diagonals
+per group: per module into tr_k, weighted by A^(-2k) Q_k(x), and per loop
+count m, weighted by delta^m = A^(-2m) (-(1 + x))^m. Either sum is
+delta <closure(b)>; it is divided exactly by 1 + 2^W, the packed 1 + x of
 delta = -A^(-2)(1 + x), and decoded once. In the full transfer every weight
 is a multiple of delta, so there the division always leaves no remainder.
+
+Memory in the modules. A cup-cap never changes the number of defects of a
+link state, so no table entry leaves its module, and the stepped state of a
+start in W_k holds at most dim W_k entries, whatever the word: at most
+max_k dim W_k, which is 165 at 11 strands, 572 at 13 and 2,002 at 15. The
+bound rests on the tables being right; the selftest checks that no entry
+leaves its module for every n <= 13.
 
 Exponents mod 4 in the modules. Over Z[delta] the algebra is graded mod 2 with
 every E_j and delta odd: its defining relations E_j^2 = delta E_j,
@@ -137,21 +144,22 @@ A smoothing path from s to t with m cup-caps and l loops therefore has
 m + l = g(t) - g(s) mod 2. Every cup-cap moves the base by +-2 and every loop
 by -2 more, so a path's base is 2(m + l) = 2(g(t) - g(s)) mod 4: all terms of
 one entry share a base mod 4, so the entry packs, and every diagonal entry
-has base 0 mod 4, for every start vector and every module. The weights
+has base 0 mod 4, for every start and every module. The weights
 A^(-2k) differ by multiples of 4 across modules, as k = n mod 2, so all the
 weighted terms meet on one base. An exponent gap that is not a multiple of
 4, or a remainder in the division, is a broken table or kernel and raises
 InternalInvariantViolation; ``_closed`` holds the one gap check for both
 routes.
 
-Width in the modules. The routes use the same W. An entry of one start
-vector sums, over the subsets of smoothed letters that lead to it, one term
+Width in the modules. The routes use the same W. An entry of one start's
+state sums, over the subsets of smoothed letters that lead to it, one term
 +-A^e delta^l with l at most the number of smoothed letters, so its
 coefficients sum to at most sum_m C(L, m) 2^m = 3^L in absolute value. A
-module trace adds dim W_k <= C(n, floor(n/2)) < 2^n such entries, so its
-coefficients stay below dim W_k * 3^L < 2^n 2^bit_length(3^L) = 2^(W-1), and
-each trace is uniquely decodable on its own. The decoded quotient is the
-bracket, under 2^(W-2) by the bound above.
+module trace adds the diagonals of its dim W_k <= C(n, floor(n/2)) < 2^n
+starts, so its coefficients stay below
+dim W_k * 3^L < 2^n 2^bit_length(3^L) = 2^(W-1), and each trace is uniquely
+decodable on its own. The decoded quotient is the bracket, under 2^(W-2) by
+the bound above.
 
 Reversal. The module route steps the word reversed. Flipping diagrams top to
 bottom is an anti-automorphism of the algebra that fixes every E_j, so it
@@ -162,17 +170,17 @@ fewer entries: 51,410 against 64,183 for TT(9,5,7,-1), and 3.5-5.0 million
 against 4.8-6.5 million for the 13-strand members.
 
 Why both routes. The two routes share every function but their table
-constructors, and differ most in where they start. The module route starts
-from all C(n, floor(n/2)) link states at once, where the full transfer
-starts from the identity alone, and random words fill its state: on the
-1,800 words of the small-braids benchmark (seed 1) it steps 1,552,764
-entries against 528,220 and takes two to three times as long. On torus and
-twisted torus words it stays sparse: on the four jones-9 words
-(TT(9,5,7,-1), T(9,10), T(8,9), T(8,11)) it steps 51,410, 35,886, 12,221
-and 15,113 entries where the full transfer steps 128,315, 288,043, 66,857
-and 86,877. Its tables hold the C(n, floor(n/2)) link states (1,716 at
-n = 13), where the full transfer interns every diagram it reaches, up to
-C(n) (742,900 at n = 13). So ``kauffman_bracket`` takes the module route for exactly the words of that
+constructors, and differ most in where they start. The module route steps
+each of the C(n, floor(n/2)) link states, where the full transfer steps the
+identity alone, and random words fill their states: on the 1,800 words of
+the small-braids benchmark (seed 1) it steps 1,552,764 entries against
+528,220 and takes about three times as long. On torus and twisted torus
+words it stays sparse: on the four jones-9 words (TT(9,5,7,-1), T(9,10),
+T(8,9), T(8,11)) it steps 51,410, 35,886, 12,221 and 15,113 entries where
+the full transfer steps 128,315, 288,043, 66,857 and 86,877. Its tables hold
+the C(n, floor(n/2)) link states (1,716 at n = 13), where the full transfer
+interns every diagram it reaches, up to C(n) (742,900 at n = 13). So
+``kauffman_bracket`` takes the module route for exactly the words of that
 shape, (s1 ... s_(n-1))^q or its mirror, q >= 1, then full twists of either
 sign on strands 1..r, r < n, and the full transfer for every other word.
 
@@ -279,16 +287,14 @@ class _Tables:
     defects of a link state, the module it spans. ``moves[j][d]`` is
     ``target * 2 + loop`` for the cup-cap at bottom positions (j, j+1)
     composed under d, -1 while not yet computed, or -2 where the term is 0
-    in a cell module (j and j+1 both defects). A state key is
-    ``(start << shift) | d``, so ``mask`` recovers d; with one start,
-    ``shift`` is 0, ``mask`` keeps every bit and a key is the id itself.
+    in a cell module (j and j+1 both defects).
 
     The tables are shared by every caller in the process. A new id is
     published only after every row holds an entry for it, under a lock, so
     the lock-free reads of the transfer never see a partial state.
     """
 
-    __slots__ = ("strands", "states", "ids", "group", "grouping", "moves", "lock", "starts", "shift", "mask")
+    __slots__ = ("strands", "states", "ids", "group", "grouping", "moves", "lock", "starts")
 
     def __init__(self, strands: int, starts: list[tuple[int, ...]], grouping):
         self.strands = strands
@@ -301,8 +307,6 @@ class _Tables:
         for state in starts:
             self.intern(state)
         self.starts = range(len(starts))
-        self.shift = (len(starts) - 1).bit_length()
-        self.mask = (1 << self.shift) - 1 or -1
 
     def intern(self, state: tuple[int, ...]) -> int:
         with self.lock:
@@ -390,34 +394,31 @@ def _modules(strands: int) -> _Tables:
 
 
 def _step(state: dict, letter: int, tables: _Tables, width: int) -> dict:
-    """One letter of the transfer on packed coefficients ``{key: (base, P)}``.
+    """One letter of the transfer on packed coefficients ``{d: (base, P)}``, d a diagram or link state id.
 
-    A key's low bits (``key & tables.mask``) are the diagram or link state
-    the tables are read at; the bits above them are kept. The straight term's
-    factor A^(sign of letter) is left to the caller's running offset, so only
-    the smoothed term moves its base, by twice the opposite sign, and by -2
-    more with a sign flip and a (1 + x) factor when it closes a loop.
+    The straight term's factor A^(sign of letter) is left to the caller's
+    running offset, so only the smoothed term moves its base, by twice the
+    opposite sign, and by -2 more with a sign flip and a (1 + x) factor when
+    it closes a loop.
     """
     j = abs(letter) - 1
-    shift = -2 if letter > 0 else 2
+    smoothed = -2 if letter > 0 else 2
     table = tables.moves[j]
-    mask = tables.mask
-    out = dict(state)
+    out = state.copy()
     get = out.get
-    for key, (base, packed) in state.items():
-        d = key & mask
+    for d, (base, packed) in state.items():
         code = table[d]
         if code < 0:
             if code == -1:
                 code = tables.move(j, d)
             if code == -2:  # both defects: the cell module drops the term
                 continue
-        target = key - d + (code >> 1)
+        target = code >> 1
         if code & 1:
-            base += shift - 2
+            base += smoothed - 2
             packed = -(packed + (packed << width))
         else:
-            base += shift
+            base += smoothed
         cur = get(target)
         if cur is None:
             out[target] = (base, packed)
@@ -437,15 +438,14 @@ def _step(state: dict, letter: int, tables: _Tables, width: int) -> dict:
     return out
 
 
-def _run(tables: _Tables, starts, letters: tuple[int, ...]) -> tuple[dict, int]:
-    """Every diagram or link state in ``starts`` with coefficient 1, stepped through ``letters`` as one state.
+def _run(tables: _Tables, start: int, letters: tuple[int, ...]) -> tuple[dict, int]:
+    """The diagram or link state ``start`` with coefficient 1, stepped through ``letters``.
 
-    The entry for start s at t is keyed ``(s << tables.shift) | t``. Returns
-    the packed state and the width W = bit_length(3^L) + n + 1 it was
+    Returns the packed state and the width W = bit_length(3^L) + n + 1 it was
     stepped at; the width bound holds for the state before closure too.
     """
     width = (3 ** len(letters)).bit_length() + tables.strands + 1
-    state = {(s << tables.shift) | s: (0, 1) for s in starts}
+    state = {start: (0, 1)}
     for letter in letters:
         state = _step(state, letter, tables, width)
     return state, width
@@ -457,11 +457,11 @@ def _transfer(tables: _Tables, s: int, letters: tuple[int, ...]) -> dict[int, La
     The selftest and the tests check the relations of the algebra through
     this function, so they are checked on the kernel the bracket runs.
     """
-    state, width = _run(tables, (s,), letters)
+    state, width = _run(tables, s, letters)
     offset = sum(1 if letter > 0 else -1 for letter in letters)
     return {
-        key & tables.mask: _wrap(_unpack(base + offset, packed, width, 4))
-        for key, (base, packed) in state.items()
+        d: _wrap(_unpack(base + offset, packed, width, 4))
+        for d, (base, packed) in state.items()
     }
 
 
@@ -553,27 +553,31 @@ def _bracket(b: BraidWord, tables: _Tables) -> LaurentPoly:
     """The bracket from the diagonal entries of every start stepped through the word, divided by delta.
 
     delta <closure(b)> is the weighted sum of the diagonal entries. With one
-    start (``shift`` 0), the identity, every key is its own diagonal and a
-    diagram whose closure has m loops weighs delta^m. The cell modules, with
-    more starts, step the word reversed and weigh the diagonal of W_k by
-    Delta_k. On one strand both tables hold one state that weighs delta.
+    start, the identity, every entry is diagonal and a diagram whose closure
+    has m loops weighs delta^m. The cell modules, with more starts, step the
+    word reversed once per start, keep only the start's own entry and weigh
+    the diagonal of W_k by Delta_k. On one strand both tables hold one state
+    that weighs delta.
     """
+    trace = len(tables.starts) > 1
     # the modules step the word reversed, the full transfer a rotation of it:
     # neither changes the bracket, and each keeps its own route's state small
-    state, width = _run(tables, tables.starts, b.letters[::-1] if tables.shift else _rotated(b.letters))
+    letters = b.letters[::-1] if trace else _rotated(b.letters)
+    group = tables.group
+    diagonal = []
+    for s in tables.starts:
+        state, width = _run(tables, s, letters)
+        if not trace:
+            diagonal.extend((group[d], base, packed) for d, (base, packed) in state.items())
+        elif s in state:
+            diagonal.append((group[s], *state[s]))
     x = 1 << width
-    if tables.shift:  # Delta_k = A^(-2k) Q_k(x)
+    if trace:  # Delta_k = A^(-2k) Q_k(x)
         weights = [1, -(1 + x)]
         while len(weights) <= b.strands:
             weights.append(-(1 + x) * weights[-1] - x * weights[-2])
     else:  # delta^m = A^(-2m) (-(1 + x))^m
         weights = [(-1 - x) ** m for m in range(b.strands + 1)]
-    shift, mask, group = tables.shift, tables.mask, tables.group
-    diagonal = [
-        (group[key & mask], base, packed)
-        for key, (base, packed) in state.items()
-        if key >> shift == key & mask
-    ]
     low, total = _closed(diagonal, weights, width)
     # delta = -A^(-2)(1 + x), so <closure> = -A^(low + 2) total / (1 + x)
     quotient, remainder = divmod(total, 1 + x)

@@ -476,30 +476,55 @@ def test_a_twisted_torus_bracket_takes_the_module_route(monkeypatch):
     assert cache.cache_info().currsize == 1
 
 
-# Key 0 is in the stepped state of both routes. On the module route it is the
-# all-defect state of W_n, a diagonal entry of every word; with n even,
-# Delta_n(0) = +-1, so a changed trace leaves a remainder. On the full
-# transfer it is the identity diagram, which only the all-straight smoothing
-# reaches; the figure-eight word is outside the twisted torus shape, so it
-# takes that route.
-@pytest.mark.parametrize("word, corrupt", [
-    (torus_braid(4, 3), lambda base, packed: (base + 2, packed)),
-    (torus_braid(4, 3), lambda base, packed: (base, packed + 1)),
-    (BraidWord(3, (1, -2, 1, -2)), lambda base, packed: (base + 2, packed)),
-], ids=["exponent-off-by-2", "trace-off-by-1", "full-transfer-exponent-off-by-2"])
-def test_a_corrupted_module_trace_raises(monkeypatch, word, corrupt):
+# Each start is stepped by its own _run call. Key 0 is in the stepped state
+# of start 0 on both routes. On the module route it is the all-defect state
+# of W_n, a diagonal entry of every word; with n even, Delta_n(0) = +-1, so a
+# changed trace leaves a remainder. On the full transfer it is the identity
+# diagram, the one start, which only the all-straight smoothing reaches; the
+# figure-eight word is outside the twisted torus shape, so it takes that
+# route. The last start of the module route lies in W_0, whose weight
+# Delta_0 = 1; T(4,3) has no diagonal entry there, so corrupting that start
+# raises only if the bracket runs it and closes its own entry.
+@pytest.mark.parametrize("word, last, corrupt", [
+    (torus_braid(4, 3), False, lambda base, packed: (base + 2, packed)),
+    (torus_braid(4, 3), False, lambda base, packed: (base, packed + 1)),
+    (BraidWord(3, (1, -2, 1, -2)), False, lambda base, packed: (base + 2, packed)),
+    (torus_braid(4, 3), True, lambda base, packed: (base, packed + 1)),
+], ids=["exponent-off-by-2", "trace-off-by-1", "full-transfer-exponent-off-by-2", "last-start-trace-off-by-1"])
+def test_a_corrupted_module_trace_raises(monkeypatch, word, last, corrupt):
+    n = word.strands
+    tables = temperley_lieb._modules(n) if _is_twisted_torus_word(word) else temperley_lieb._diagrams(n)
+    target = tables.starts[-1] if last else 0
     real_run = temperley_lieb._run
-    routes = []
+    runs = []
 
-    def corrupted(tables, starts, letters):
-        routes.append(tables)
-        state, width = real_run(tables, starts, letters)
-        state[0] = corrupt(*state[0])
+    def corrupted(run_tables, start, letters):
+        runs.append((run_tables, start))
+        state, width = real_run(run_tables, start, letters)
+        if start == target:
+            state[target] = corrupt(*state.get(target, (0, 0)))
         return state, width
 
     monkeypatch.setattr(temperley_lieb, "_run", corrupted)
     with pytest.raises(InternalInvariantViolation):
         kauffman_bracket(word)
-    n = word.strands
-    assert len(routes) == 1
-    assert routes[0] is (temperley_lieb._modules(n) if _is_twisted_torus_word(word) else temperley_lieb._diagrams(n))
+    assert all(run_tables is tables for run_tables, _ in runs)
+    assert [start for _, start in runs] == list(tables.starts)
+
+
+def test_a_module_route_state_stays_within_one_cell_module(monkeypatch):
+    # Each start is stepped alone and no entry leaves its module, so no
+    # stepped state holds more than max_k dim W_k entries, 165 at 11 strands.
+    real_step = temperley_lieb._step
+    sizes = []
+
+    def recorded(state, letter, tables, width):
+        out = real_step(state, letter, tables, width)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(temperley_lieb, "_step", recorded)
+    jones_from_braid(twisted_torus_braid(11, 6, 8, -1))  # the (a, k1, k2) = (1, 3, 2) member
+    bound = max(len(_link_states(11, k)) for k in range(11, -1, -2))
+    assert bound == 165
+    assert sizes and max(sizes) <= bound
