@@ -100,6 +100,56 @@ def twisted_torus_braid(p: int, q: int, r: int, s: int) -> BraidWord:
     return BraidWord(p, tuple(range(1, p)) * q + _full_twist_block(r, s))
 
 
+def _reduced_twisted_torus_braid(p: int, q: int, r: int, s: int) -> BraidWord:
+    """A word on r strands whose closure is that of ``twisted_torus_braid(p, q, r, s)``, for q < r.
+
+    The word is d_r^(q + rs) D_q^(p - r), where d_m = s1 ... s_(m-1),
+    D_m = s_(m-1) ... s1 and d_r^(-1) = s_(r-1)^-1 ... s1^-1. Its bracket is
+    that of the p-strand word divided by (-A^3)^(p - r), and its writhe is
+    p - r lower, so the Jones polynomials agree. For q >= r the p-strand word
+    itself is returned.
+
+    Lemma. Let 1 <= q <= m and let X be a word on strands 1..m (no letter m).
+    Then closure(d_(m+1)^q X) on m + 1 strands is closure(d_m^q X D_q) on m
+    strands, and its bracket is -A^3 times the latter's.
+
+    (a) d_m s_i = s_(i+1) d_m for 1 <= i <= m - 2: s_(i+1) commutes with
+        s1 .. s_(i-1), and s_i s_(i+1) s_i = s_(i+1) s_i s_(i+1). Also
+        s_m d_m s_m = d_m s_m s_(m-1), as s_m commutes with s1 .. s_(m-2)
+        and s_(m-1) s_m s_(m-1) = s_m s_(m-1) s_m.
+    (b) d_(m+1)^k = d_m^k c_k with c_k = s_m s_(m-1) ... s_(m-k+1), for
+        1 <= k <= m. For k = 1 this is d_(m+1) = d_m s_m. For k + 1 <= m,
+        d_(m+1)^(k+1) = d_m^k c_k d_m s_m. By (a), s_(m-1) ... s_(m-k+1) d_m
+        = d_m s_(m-2) ... s_(m-k), every index moved being at least 2; s_m
+        commutes with s_(m-2) ... s_(m-k), so c_k d_m s_m =
+        s_m d_m s_m s_(m-2) ... s_(m-k) = d_m s_m s_(m-1) ... s_(m-k) = d_m c_(k+1).
+    (c) So d_(m+1)^q X = d_m^q s_m E X with E = s_(m-1) ... s_(m-q+1), and
+        s_m occurs once. Closure is invariant under cyclic rotation, so it is
+        the closure of s_m (E X d_m^q), with E X d_m^q on strands 1..m; a
+        Markov destabilization removes s_m and strand m + 1, and with them
+        one positive kink, a factor -A^3 of the bracket. What is left closes
+        as d_m^q E X.
+    (d) Applying (a) m - q times moves D_q = s_(q-1) ... s1 up to E:
+        E = d_m^(m-q) D_q d_m^(q-m). The full twist d_m^m is central in B_m,
+        so d_m^q E X = d_m^m D_q d_m^(q-m) X = D_q d_m^q X, which closes as
+        d_m^q X D_q.
+
+    The lemma applied for m = p - 1, p - 2, ..., r, with
+    X = (d_r^r)^s D_q^j on strands 1..r (q < r <= m), takes d_p^q (d_r^r)^s,
+    the word ``twisted_torus_braid`` builds, to d_r^q (d_r^r)^s D_q^(p - r)
+    on r strands. The full twist block of ``_full_twist_block`` is
+    (d_r^r)^s letter for letter, so d_r^q (d_r^r)^s reduces freely to
+    d_r^(q + rs). Its exponent is never 0: it is q for s = 0, and
+    |rs| >= r > q otherwise.
+    """
+    TwistedTorusParams(p, q, r, s)
+    if q >= r:
+        return twisted_torus_braid(p, q, r, s)
+    turns = q + r * s
+    period = tuple(range(1, r)) if turns > 0 else tuple(range(1 - r, 0))
+    return BraidWord(r, period * abs(turns) + tuple(range(q - 1, 0, -1)) * (p - r))
+
+
 def braid_permutation(b: BraidWord) -> tuple[int, ...]:
     """Image of each strand position under the word, 1-based and sign-insensitive.
 

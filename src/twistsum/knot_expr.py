@@ -42,7 +42,15 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Union
 
-from .braid import BraidWord, TwistedTorusParams, braid_connected_sum, braid_mirror, torus_braid, twisted_torus_braid
+from .braid import (
+    BraidWord,
+    TwistedTorusParams,
+    _reduced_twisted_torus_braid,
+    braid_connected_sum,
+    braid_mirror,
+    torus_braid,
+    twisted_torus_braid,
+)
 from .burau import alexander_from_braid
 from .errors import ExpressionSyntaxError
 from .laurent import LaurentPoly, normalize_alexander
@@ -170,13 +178,16 @@ def expr_jones(e: KnotExpression, threshold: int | None = None) -> LaurentPoly:
     """Jones polynomial of the represented knot.
 
     TwistedTorus nodes go through the Temperley-Lieb pipeline and are subject
-    to its strand threshold; TooManyStrands propagates to the caller.
+    to its strand threshold on p, the strands of the stated word;
+    TooManyStrands propagates to the caller. For q < r the pipeline runs on
+    the r-strand word with the same closure that
+    ``_reduced_twisted_torus_braid`` builds (its docstring has the proof).
     """
     def twisted(pr: TwistedTorusParams) -> LaurentPoly:
-        # the braid has p strands; refuse on that before building a word
-        # whose length alone may be unrepresentable
+        # refuse on p before building a word whose length alone may be
+        # unrepresentable
         _check_strands(pr.p, threshold)
-        return jones_from_braid(_twisted_braid(pr), threshold)
+        return jones_from_braid(_reduced_twisted_torus_braid(pr.p, pr.q, pr.r, pr.s), threshold)
 
     return _fold(e, lambda t: torus_jones_closed(t.p, t.q), twisted,
                  _product, LaurentPoly.invert_var)

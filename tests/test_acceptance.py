@@ -106,16 +106,18 @@ def test_criterion_3_family_grid():
 
 
 def test_criterion_3_a_13_strand_member_above_the_default_threshold():
-    # the cheapest p = 13 member of the grid; the default threshold skips its Jones
+    # the four p = 13 members and the 15-strand (1,5,2); the default threshold
+    # skips their Jones
     start = time.perf_counter()
-    fp = FamilyParams(1, 4, 2)
-    assert family_instantiate(fp).p == 13
-    report = family_verify(fp, "full", 13)
-    assert report.verdict == "verified-at-level"
-    jones = [c for c in report.checks if c.invariant == "jones"][0]
-    assert not jones.skipped and jones.equal is True
+    for (a, k1, k2), p in [((2, 2, 2), 13), ((1, 2, 4), 13), ((1, 3, 3), 13), ((1, 4, 2), 13), ((1, 5, 2), 15)]:
+        fp = FamilyParams(a, k1, k2)
+        assert family_instantiate(fp).p == p
+        report = family_verify(fp, "full", p)
+        assert report.verdict == "verified-at-level", fp
+        jones = [c for c in report.checks if c.invariant == "jones"][0]
+        assert not jones.skipped and jones.equal is True, fp
     elapsed = time.perf_counter() - start
-    print(f"PASS criterion 3: (1,4,2), 13 strands, Jones equals the closed form ({elapsed:.1f}s)")
+    print(f"PASS criterion 3: four 13-strand members and (1,5,2), Jones equals the closed form ({elapsed:.1f}s)")
 
 
 def test_criterion_4_torus_oracles():

@@ -104,6 +104,17 @@ def test_over_threshold_record_with_an_unprintable_basis_size(capsys, output_for
         assert out.splitlines() == [f"{key}: {value}" for key, value in record.items()]
 
 
+@pytest.mark.parametrize("expr, strands", [("TT(8001,1,2,1)", 8001), ("TT(19,13,15,-1)", 19)])
+def test_a_twisted_torus_jones_is_refused_on_p_before_the_reduced_word_is_built(capsys, monkeypatch, expr, strands):
+    def unreachable(*params):
+        raise AssertionError(f"reduced word built for {params}")
+
+    monkeypatch.setattr(twistsum.knot_expr, "_reduced_twisted_torus_braid", unreachable)
+    code, out, err = run(capsys, "invariant", expr, "jones")
+    assert code == EXIT_INFEASIBLE and err == ""
+    assert json.loads(out)["reason"] == f"strands {strands} exceeds threshold 12"
+
+
 class _FailingStdout(io.TextIOBase):
     """A stdout on /dev/full or a closed pipe: with buffering, writes succeed and the flush fails."""
 

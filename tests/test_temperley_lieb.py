@@ -25,7 +25,7 @@ from twistsum import (
     twisted_torus_braid,
 )
 from twistsum import temperley_lieb
-from twistsum.braid import _full_twist_block
+from twistsum.braid import _full_twist_block, _reduced_twisted_torus_braid
 from twistsum.temperley_lieb import (
     _basis_size,
     _bracket,
@@ -372,16 +372,21 @@ def test_cupcap_on_link_states():
     assert _cupcap((1, 0, 3, 2), 1) == ((3, 2, 1, 0), 0)
 
 
-def _shape_oracle(b):
-    """The twisted torus shape by trying every (sign, q, r, s) the word's length allows.
+def _shape_oracle(b, reduced=True):
+    """The twisted torus shape by trying every (period, q, r, s) and (period, q, m, j) the word's length allows.
 
     The negative full twist on r strands is written (s_(r-1)^-1 ... s_1^-1)^r,
-    as ``twisted_torus_braid`` builds it.
+    as ``twisted_torus_braid`` builds it. With ``reduced`` the shape also
+    takes the torus block (s_(n-1)^-1 ... s1^-1)^q and D_m^j = (s_(m-1) ... s1)^j
+    after the torus block, the blocks ``_reduced_twisted_torus_braid`` builds;
+    without, it is the shape that chose the module route before them.
     """
     n, letters = b.strands, b.letters
-    for sign in (1, -1):
+    up = tuple(range(1, n))
+    periods = [up, tuple(-i for i in up)] + ([tuple(-i for i in reversed(up))] if reduced else [])
+    for period in periods:
         for q in range(1, len(letters) // max(n - 1, 1) + 1):
-            torus = tuple(sign * i for i in range(1, n)) * q
+            torus = period * q
             if not torus or letters[:len(torus)] != torus:
                 continue
             rest = letters[len(torus):]
@@ -391,6 +396,8 @@ def _shape_oracle(b):
                 turns = len(rest) // (r * (r - 1))
                 if turns and rest in (tuple(range(1, r)) * (r * turns), tuple(range(1 - r, 0)) * (r * turns)):
                     return True
+                if reduced and rest == tuple(range(r - 1, 0, -1)) * (len(rest) // (r - 1)):
+                    return True
     return False
 
 
@@ -399,6 +406,8 @@ def _torus_grid():
     words += [twisted_torus_braid(p, q, r, s)
               for p in range(3, 10) for q in range(1, 3) if math.gcd(p, q) == 1
               for r in sorted({2, p - 1}) for s in (-1, 1)]
+    words += [_reduced_twisted_torus_braid(p, q, p - 1, s)
+              for p in range(4, 10) for q in range(1, 3) if math.gcd(p, q) == 1 for s in (-1, 1)]
     return words
 
 
@@ -437,6 +446,14 @@ def test_module_route_matches_the_full_transfer_on_the_small_braids_words():
         assert _bracket(w, _modules(w.strands)) == _bracket(w, _diagrams(w.strands)), w
 
 
+def test_no_small_braids_word_changes_route():
+    # the reduced words' blocks widened the module route's shape; a random
+    # word keeps the route it took before, where the full transfer steps fewer
+    # entries
+    words = list(_small_braids_words(1))
+    assert [w for w in words if _is_twisted_torus_word(w) != _shape_oracle(w, reduced=False)] == []
+
+
 def test_shape_check_accepts_the_family_words_and_rejects_near_misses():
     rng = random.Random(32)
     for w in _torus_grid():
@@ -454,12 +471,17 @@ def test_shape_check_accepts_the_family_words_and_rejects_near_misses():
         BraidWord(5, (1, 2, 3, 4) * 3 + _full_twist_block(5, -1)),  # a twist on r = n strands
         BraidWord(5, (1, 2, 3, 4) * 2 + _full_twist_block(3, -1)[:-1]),  # a twist cut short
         BraidWord(5, (1, 2, 3, 4, 1, 2, 3)),  # a partial period
+        BraidWord(5, (-4, -3, -2, -1) + (3, 2, 1, 3, 2)),  # a power of D_4 cut short
+        BraidWord(5, (1, 2, 3, 4) + (4, 3, 2, 1)),  # D_m on m = n strands
+        BraidWord(5, (1, 2, 3, 4) + (-3, -2, -1)),  # a negative power of D_4
+        BraidWord(5, (-4, -3, -2, -1, -1, -2, -3, -4)),  # two inverse periods of different forms
         BraidWord(1, ()),
         BraidWord(4, ()),
     ]
     for w in near_misses:
         assert not _is_twisted_torus_word(w) and not _shape_oracle(w), w
-    for w in (twisted_torus_braid(9, 5, 7, -1), torus_braid(9, 10), torus_braid(8, -11)):
+    for w in (twisted_torus_braid(9, 5, 7, -1), torus_braid(9, 10), torus_braid(8, -11),
+              _reduced_twisted_torus_braid(9, 5, 7, -1), _reduced_twisted_torus_braid(19, 13, 15, -1)):
         assert _is_twisted_torus_word(w)
 
 
@@ -467,6 +489,7 @@ def test_a_twisted_torus_bracket_takes_the_module_route(monkeypatch):
     _fresh_tables(monkeypatch)
     kauffman_bracket(twisted_torus_braid(9, 5, 7, -1))
     kauffman_bracket(torus_braid(8, -9))
+    kauffman_bracket(_reduced_twisted_torus_braid(9, 5, 7, -1))
     cache = temperley_lieb._diagrams
     assert cache.cache_info().currsize == 0
     kauffman_bracket(BraidWord(9, (1, 2, 3, 4, 5, 6, 7, -8)))
