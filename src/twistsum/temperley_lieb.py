@@ -29,25 +29,27 @@ loops contributes delta^(m - 1) to the bracket, so delta^m to
 delta <closure(b)>.
 
 Ids and tables. Both routes use one table type, ``_Tables``, per strand
-count. It gives each diagram or link state a word reaches an integer id, the
-start states first: the identity for the full transfer (``_diagrams``), every
-link state of every cell module for the trace (``_modules``). ``group[d]``
+count. It gives each diagram or link state a word reaches an integer id:
+from the identity, id 0, for the full transfer (``_diagrams``), and from one
+link state per cell module for the trace (``_modules``). ``group[d]``
 picks the closing weight of d: the loops of a diagram's closure, or the
 defects of a link state. For generator j a row gives, per id,
 ``target_id * 2 + loop``: the state the cup-cap at j composes it into, and
 whether that closed a loop; -1 marks an entry not yet computed, -2 a term a
-cell module drops. Entries are filled on first use, by ``move``, only for the
-states a word actually reaches, and kept for later words, so a letter step
-is a list lookup instead of a tuple rewrite and a hash. Nothing is built at
-import time. A stepped state maps ids to packed coefficients, so on both
-routes its keys are plain diagram or link state ids. Both routes run through
-the same functions: ``_run`` steps one start through the word,
+cell module drops. The diagram tables are filled on first use, by ``move``,
+only for the diagrams a word actually reaches; the module tables are
+complete when ``_modules`` returns them. Both are kept for later words, so a
+letter step is a list lookup instead of a tuple rewrite and a hash. Nothing
+is built at import time. A stepped state maps ids to packed coefficients,
+so on both routes its keys are plain diagram or link state ids. Both routes
+run through the same functions: ``_run`` steps one start through the word,
 ``_transfer`` decodes its stepped state per diagram or link state (the
 selftest and the tests check the algebra's relations through it),
 ``_closed`` sums the closing terms with their weights, and ``_bracket`` runs
 every start, divides the closed sum by delta and decodes it.
 ``_reachable`` walks the tables from the starts, filling them as the kernel
-does; the selftest counts the Catalan basis and the modules' closure with it.
+does: ``_modules`` builds the modules with it, and the selftest counts the
+Catalan basis with it.
 
 The diagram tables keep every strand count a process has used; the module
 tables, at most C(n, floor(n/2)) states each, keep the last four. Diagram
@@ -114,25 +116,47 @@ Saint-Aubin, arXiv:1204.4505),
 Writing Delta_k = A^(-2k) Q_k(x) gives Q_0 = 1, Q_1 = -(1 + x) and
 Q_(k+1) = -(1 + x) Q_k - x Q_(k-1).
 
+One link state per module reaches all of W_k: c_k, which pairs (0, 1),
+(2, 3), ... and leaves the last k points as defects. Its orbit is the set
+of link states that products of cup-caps take it to; each such product
+gives a power of delta times one link state, or 0. The orbit is the whole
+basis of W_k:
+
+- every Temperley-Lieb diagram is a product of cup-caps (the identity the
+  empty one), so the span of the orbit is the submodule TL_n c_k;
+- W_k is irreducible over Q(delta) (Goodman, de la Harpe and Jones; Ridout
+  and Saint-Aubin), so that span is W_k;
+- the orbit is a subset of the link-state basis, and a subset of a basis
+  that spans W_k is the whole basis.
+
+The rewrite does not depend on delta, so neither does the orbit. So
+``_modules`` walks the tables from the states c_k, which fills every entry,
+and makes every state it reaches a start.
+
 Module route. Link states get the ids 0, 1, ... over all modules of one
-strand count, module by module from k = n defects down, and every one of
-them is a start. ``_bracket`` steps each start s on its own, with
-coefficient 1, through the word and keeps only the entry at s, its diagonal:
-entries of different starts never combine, so a trace needs nothing else.
-The full transfer runs through the same loop with the identity as its one
-start, and there every entry is a diagonal. ``_closed`` sums the diagonals
-per group: per module into tr_k, weighted by A^(-2k) Q_k(x), and per loop
-count m, weighted by delta^m = A^(-2m) (-(1 + x))^m. Either sum is
-delta <closure(b)>; it is divided exactly by 1 + 2^W, the packed 1 + x of
-delta = -A^(-2)(1 + x), and decoded once. In the full transfer every weight
-is a multiple of delta, so there the division always leaves no remainder.
+strand count, module by module from k = n defects down, and within W_k in
+the order the walk from c_k first reaches them. Every one of them is a
+start. No sum over the starts depends on that order, but it was measured:
+one walk over all modules at once, which interleaves their ids, made the
+jones-9 torus brackets 2-4% slower (best of 40 in-process runs each).
+``_bracket`` steps each start s on its own, with coefficient 1, through the
+word and keeps only the entry at s, its diagonal: entries of different
+starts never combine, so a trace needs nothing else. The full transfer runs through the
+same loop with the identity as its one start, and there every entry is a
+diagonal. ``_closed`` sums the diagonals per group: per module into tr_k,
+weighted by A^(-2k) Q_k(x), and per loop count m, weighted by
+delta^m = A^(-2m) (-(1 + x))^m. Either sum is delta <closure(b)>; it is
+divided exactly by 1 + 2^W, the packed 1 + x of delta = -A^(-2)(1 + x), and
+decoded once. In the full transfer every weight is a multiple of delta, so
+there the division always leaves no remainder.
 
 Memory in the modules. A cup-cap never changes the number of defects of a
 link state, so no table entry leaves its module, and the stepped state of a
 start in W_k holds at most dim W_k entries, whatever the word: at most
 max_k dim W_k, which is 165 at 11 strands, 572 at 13 and 2,002 at 15. The
-bound rests on the tables being right; the selftest checks that no entry
-leaves its module for every n <= 13.
+bound rests on the tables being right: ``_modules`` checks that no entry
+leaves its module when it builds them, at every strand count, and raises
+InternalInvariantViolation if one does.
 
 Exponents mod 4 in the modules. Over Z[delta] the algebra is graded mod 2 with
 every E_j and delta odd: its defining relations E_j^2 = delta E_j,
@@ -165,9 +189,13 @@ Reversal. The module route steps the word reversed. Flipping diagrams top to
 bottom is an anti-automorphism of the algebra that fixes every E_j, so it
 maps the image A + A^(-1) E_j of each letter to itself and the image of a
 word to that of its reverse, and it keeps the loop count of every closure:
-the reversed word has the same bracket. On the paper's family it reaches
-fewer entries: 51,410 against 64,183 for TT(9,5,7,-1), and 3.5-5.0 million
-against 4.8-6.5 million for the 13-strand members.
+the reversed word has the same bracket. On the reduced words of the
+paper's family the order matters both ways. Of the 11 members with p <= 15
+and TT(19,13,15,-1), the reversed word steps fewer entries for 3, among
+them TT(19,13,15,-1): 9.43 against 11.04 million entries, 3.3 against 3.9 s
+with warm tables. It steps more for the other 9, such as (a, k1, k2) =
+(1,2,5): 2.33 against 1.17 million. On torus words both orders step the
+same entries.
 
 Why both routes. The two routes share every function but their table
 constructors, and differ most in where they start. The module route steps
@@ -187,14 +215,9 @@ with d_m = s1 ... s_(m-1) and D_m = s_(m-1) ... s1. The module route steps
 the full transfer steps 2,155, and both take 2-5 ms on their first run; on
 the 11 strands of (a, k1, k2) = (2,2,2) it steps 126,977 against 366,268 and
 takes 0.04-0.08 s against 0.25-1.0 s, the higher figures while the tables
-fill. So ``kauffman_bracket`` takes the module route for exactly the words
-of one shape, and the full transfer for every other word.
-The shape is a torus block, (s1 ... s_(n-1))^q, its mirror
-(s1^-1 ... s_(n-1)^-1)^q or its inverse d_n^(-q), q >= 1, followed by
-nothing, by full twists of either sign on strands 1..r, or by D_m^j, j >= 1,
-with r, m < n. The inverse block and D_m^j were added for the reduced
-words; they moved none of the 9,000 small-braids words of seeds 1, 2, 3,
-21 and 81 to the module route.
+fill. So ``kauffman_bracket`` takes the module route for exactly the
+torus-shaped words that ``_is_twisted_torus_word`` in ``braid.py`` accepts,
+the words that module builds, and the full transfer for every other word.
 
 The Jones polynomial is the writhe correction (-A^3)^(-writhe) times the
 bracket, re-expressed in t = A^{-4}. For a knot every exponent of the
@@ -213,7 +236,7 @@ import math
 import sys
 import threading
 
-from .braid import BraidWord, _full_twist_block, is_knot_closure, writhe
+from .braid import BraidWord, _is_twisted_torus_word, is_knot_closure, writhe
 from .errors import (
     ExponentNotDivisibleBy4,
     InternalInvariantViolation,
@@ -291,15 +314,16 @@ def _closure_loops(pairing: tuple[int, ...]) -> int:
 
 
 class _Tables:
-    """Integer ids for the diagrams or link states on one strand count, with lazily filled cup-cap tables.
+    """Integer ids for the diagrams or link states on one strand count, with their cup-cap tables.
 
     ``starts`` are the ids of the states passed in, interned first; any other
-    state gets the next id when a move first reaches it. ``group[d]`` picks
-    the closing weight of d: the loops of a diagram's braid closure, or the
-    defects of a link state, the module it spans. ``moves[j][d]`` is
-    ``target * 2 + loop`` for the cup-cap at bottom positions (j, j+1)
-    composed under d, -1 while not yet computed, or -2 where the term is 0
-    in a cell module (j and j+1 both defects).
+    state gets the next id when a move first reaches it. ``_modules``
+    interns its own states, one per module, and makes every state a start. ``group[d]`` picks the closing weight of d:
+    the loops of a diagram's braid closure, or the defects of a link state,
+    the module it spans. ``moves[j][d]`` is ``target * 2 + loop`` for the
+    cup-cap at bottom positions (j, j+1) composed under d, -1 while not yet
+    computed, or -2 where the term is 0 in a cell module (j and j+1 both
+    defects).
 
     The tables are shared by every caller in the process. A new id is
     published only after every row holds an entry for it, under a lock, so
@@ -349,9 +373,9 @@ def _reachable(tables: _Tables) -> list[int]:
     """Ids of every state reachable from the starts through the cup-cap tables ``_step`` reads.
 
     From the identity these are the C(strands) basis diagrams, as the
-    cup-caps generate the diagram algebra; on the cell modules they are the
-    starts. Table entries still missing are filled on the way, by the
-    ``move`` the kernel calls.
+    cup-caps generate the diagram algebra; from one link state per cell
+    module, every link state. Table entries still missing are filled on the
+    way, by the ``move`` the kernel calls.
     """
     order, reached = list(tables.starts), set(tables.starts)
     for d in order:  # grows while it is walked: a breadth-first search
@@ -365,44 +389,26 @@ def _reachable(tables: _Tables) -> list[int]:
     return sorted(order)
 
 
-def _link_states(strands: int, defects: int) -> list[tuple[int, ...]]:
-    """The link states on ``strands`` points with ``defects`` defects.
-
-    A state is a partner array as ``_cupcap`` reads it: ``state[i]`` is the
-    point i is joined to by an arc, or -1 where i is a defect. A defect is
-    placed only while no arc is open, so no arc passes over a defect.
-    """
-    states: list[tuple[int, ...]] = []
-    partner = [-1] * strands
-    opened: list[int] = []
-
-    def place(i: int, left: int) -> None:
-        if len(opened) + left > strands - i:
-            return
-        if i == strands:
-            states.append(tuple(partner))
-            return
-        if opened:  # close the innermost open arc at i
-            a = opened.pop()
-            partner[a], partner[i] = i, a
-            place(i + 1, left)
-            opened.append(a)
-        if left and not opened:
-            partner[i] = -1
-            place(i + 1, left - 1)
-        opened.append(i)  # open an arc at i; its partner is set where it closes
-        place(i + 1, left)
-        opened.pop()
-
-    place(0, defects)
-    return states
-
-
 @functools.lru_cache(maxsize=4)
 def _modules(strands: int) -> _Tables:
-    """The cell modules' tables: every link state starts, module by module from k = n defects down."""
-    states = [s for k in range(strands, -1, -2) for s in _link_states(strands, k)]
-    return _Tables(strands, states, lambda state: state.count(-1))
+    """The cell modules' tables, complete: every link state starts, module by module from k = n defects down.
+
+    Each module is walked from c_k alone, which pairs (0, 1), (2, 3), ...
+    and leaves the last k points as defects; the walk reaches every link
+    state of W_k (see the module docstring) and fills every entry. An entry
+    that leaves its module raises InternalInvariantViolation.
+    """
+    tables = _Tables(strands, [], lambda state: state.count(-1))
+    for arcs in range(strands // 2 + 1):
+        c_k = tuple(i ^ 1 if i < 2 * arcs else -1 for i in range(strands))
+        tables.starts = [tables.intern(c_k)]
+        _reachable(tables)
+    tables.starts = range(len(tables.states))
+    group = tables.group
+    for j, row in enumerate(tables.moves):
+        if any(code >= 0 and group[code >> 1] != group[d] for d, code in enumerate(row)):
+            raise InternalInvariantViolation(f"a cup-cap at {j} leaves a cell module on {strands} strands")
+    return tables
 
 
 def _step(state: dict, letter: int, tables: _Tables, width: int) -> dict:
@@ -520,38 +526,6 @@ def _check_strands(strands: int, threshold: int | None) -> None:
     limit = DEFAULT_STRAND_THRESHOLD if threshold is None else threshold
     if strands > limit:
         raise TooManyStrands(strands, limit, _basis_size(strands))
-
-
-def _is_twisted_torus_word(b: BraidWord) -> bool:
-    """True for a torus block, then nothing, full twists of either sign on strands 1..r or D_m^j, r, m < n.
-
-    The torus block is (s1 ... s_(n-1))^q, its mirror (s1^-1 ... s_(n-1)^-1)^q
-    or its inverse (s_(n-1)^-1 ... s1^-1)^q, q >= 1; D_m = s_(m-1) ... s1 and
-    j >= 1. Whole periods are matched from the start; what follows holds no
-    letter n - 1, so it cannot extend them, and must equal the twist block or
-    the power of D_m its highest letter and length imply.
-    """
-    n, letters = b.strands, b.letters
-    first = letters[:1]
-    if first == (-1,):
-        period = tuple(range(-1, -n, -1))
-    elif first == (1 - n,):
-        period = tuple(range(1 - n, 0))
-    else:
-        period = tuple(range(1, n))
-    end = 0
-    while period and letters[end:end + n - 1] == period:
-        end += n - 1
-    rest = letters[end:]
-    if not end or not rest:
-        return end > 0
-    top = max(map(abs, rest))  # r - 1 or m - 1
-    if top >= n - 1:
-        return False
-    turns, extra = divmod(len(rest), (top + 1) * top)
-    if not extra and rest == _full_twist_block(top + 1, turns if rest[0] > 0 else -turns):
-        return True
-    return rest == tuple(range(top, 0, -1)) * (len(rest) // top)
 
 
 def _closed(terms: list[tuple[int, int, int]], weights: list[int], width: int) -> tuple[int, int]:

@@ -16,18 +16,28 @@ recursive enumeration of noncrossing pairings, are the reference algebra the
 pipelines' column updates and reachable Temperley-Lieb basis are compared
 against; the package runs neither. ``equal_up_to_units`` compares
 polynomials up to the units +-t^k, which only the tests need.
+``fresh_tables`` gives a test empty Temperley-Lieb table caches, so it can
+count the tables a computation builds.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Iterator
 
-from twistsum import BraidWord, LaurentPoly, is_knot_closure
+from twistsum import BraidWord, LaurentPoly, is_knot_closure, temperley_lieb
 from twistsum.burau import BurauMatrix
 from twistsum.laurent import normalize_alexander
 
 DELTA = LaurentPoly({2: -1, -2: -1})
+
+
+def fresh_tables(monkeypatch) -> None:
+    """Give the diagram and the module tables fresh, empty caches for the rest of the test."""
+    monkeypatch.setattr(temperley_lieb, "_diagrams", functools.cache(temperley_lieb._diagrams.__wrapped__))
+    monkeypatch.setattr(temperley_lieb, "_modules",
+                        functools.lru_cache(maxsize=4)(temperley_lieb._modules.__wrapped__))
 
 
 def burau_generator(n: int, letter: int) -> BurauMatrix:

@@ -10,7 +10,7 @@ import random
 import time
 from math import gcd
 
-from conftest import enumerate_pairings, generator_product, random_knot_word
+from conftest import enumerate_pairings, fresh_tables, generator_product, random_knot_word
 from twistsum import (
     BraidWord,
     LaurentPoly,
@@ -33,6 +33,7 @@ from twistsum import (
     verify_pair,
     FamilyParams,
 )
+from twistsum import temperley_lieb
 from twistsum.burau import BurauMatrix
 from twistsum.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 from twistsum.laurent import normalize_alexander
@@ -84,7 +85,14 @@ def test_criterion_2_example2_verification_with_jones_skip(capsys):
     print(f"PASS criterion 2: TT(19,13,15,-1) vs T(4,9)#T(2,-7) verified, Jones skipped ({elapsed:.1f}s)")
 
 
-def test_criterion_3_family_grid():
+def _assert_no_diagram_table_built():
+    # the family words take the module route; one the route predicate missed
+    # would still get an equal bracket from the full transfer, only slower
+    assert temperley_lieb._diagrams.cache_info().currsize == 0
+
+
+def test_criterion_3_family_grid(monkeypatch):
+    fresh_tables(monkeypatch)
     start = time.perf_counter()
     grid = tuple(family_enumerate(3, 4, 4))
     assert len(grid) == 27
@@ -100,14 +108,16 @@ def test_criterion_3_family_grid():
         assert report.verdict == "verified-at-level", fp
         jones = [c for c in report.checks if c.invariant == "jones"][0]
         assert not jones.skipped and jones.equal is True
+    _assert_no_diagram_table_built()
     elapsed = time.perf_counter() - start
     assert elapsed < 1800.0
     print(f"PASS criterion 3: 27-member grid at alexander level, Jones for p <= 12 ({elapsed:.1f}s)")
 
 
-def test_criterion_3_a_13_strand_member_above_the_default_threshold():
+def test_criterion_3_a_13_strand_member_above_the_default_threshold(monkeypatch):
     # the four p = 13 members and the 15-strand (1,5,2); the default threshold
     # skips their Jones
+    fresh_tables(monkeypatch)
     start = time.perf_counter()
     for (a, k1, k2), p in [((2, 2, 2), 13), ((1, 2, 4), 13), ((1, 3, 3), 13), ((1, 4, 2), 13), ((1, 5, 2), 15)]:
         fp = FamilyParams(a, k1, k2)
@@ -116,6 +126,7 @@ def test_criterion_3_a_13_strand_member_above_the_default_threshold():
         assert report.verdict == "verified-at-level", fp
         jones = [c for c in report.checks if c.invariant == "jones"][0]
         assert not jones.skipped and jones.equal is True, fp
+    _assert_no_diagram_table_built()
     elapsed = time.perf_counter() - start
     print(f"PASS criterion 3: four 13-strand members and (1,5,2), Jones equals the closed form ({elapsed:.1f}s)")
 

@@ -1,5 +1,4 @@
 import errno
-import functools
 import io
 import json
 import os
@@ -11,6 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from conftest import fresh_tables
 import twistsum
 from twistsum.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, _selftest_suites, main
 from twistsum.family import LEVELS
@@ -355,8 +355,7 @@ def test_selftest_checks_the_kernels_the_pipelines_run(monkeypatch):
 
     monkeypatch.setattr(burau_mod, "_apply_run", first_letter_of_each_run)
     # tables built from the broken rules go to fresh caches; the shared ones are left as they were
-    monkeypatch.setattr(tl_mod, "_diagrams", functools.cache(tl_mod._diagrams.__wrapped__))
-    monkeypatch.setattr(tl_mod, "_modules", functools.lru_cache(maxsize=4)(tl_mod._modules.__wrapped__))
+    fresh_tables(monkeypatch)
     monkeypatch.setattr(tl_mod, "_cupcap", lambda pairing, j: (pairing, 1))
     suites = dict(_selftest_suites(SimpleNamespace(seed=0, jones_threshold=None)))
     assert not suites["burau-relations"]()
@@ -364,8 +363,9 @@ def test_selftest_checks_the_kernels_the_pipelines_run(monkeypatch):
 
     # a module table that joins two adjacent defects instead of sending them to
     # 0; the joined term falls to a module with fewer defects and never returns
-    # to a diagonal entry, so brackets stay right and only the closure check
-    # of catalan-basis can see it. Diagrams have no defects, so the diagram
+    # to a diagonal entry, so brackets would stay right and only the closure
+    # check can see it: building the modules raises, and catalan-basis
+    # reports that as a failure. Diagrams have no defects, so the diagram
     # tables, rebuilt here, come out right and the basis count passes.
     def join_defects(state, j):
         if state[j] < 0 and state[j + 1] < 0:
@@ -375,8 +375,7 @@ def test_selftest_checks_the_kernels_the_pipelines_run(monkeypatch):
         return real_cupcap(state, j)
 
     monkeypatch.setattr(tl_mod, "_cupcap", join_defects)
-    monkeypatch.setattr(tl_mod, "_diagrams", functools.cache(tl_mod._diagrams.__wrapped__))
-    monkeypatch.setattr(tl_mod, "_modules", functools.lru_cache(maxsize=4)(tl_mod._modules.__wrapped__))
+    fresh_tables(monkeypatch)
     suites = dict(_selftest_suites(SimpleNamespace(seed=0, jones_threshold=None)))
     assert not suites["catalan-basis"]()
 

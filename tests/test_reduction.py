@@ -20,8 +20,8 @@ from twistsum import (
     kauffman_bracket,
     twisted_torus_braid,
 )
-from twistsum.braid import _reduced_twisted_torus_braid
-from twistsum.temperley_lieb import _bracket, _diagrams, _is_twisted_torus_word, _modules
+from twistsum.braid import _is_twisted_torus_word, _reduced_twisted_torus_braid
+from twistsum.temperley_lieb import _bracket, _diagrams, _modules
 
 KINK = LaurentPoly({3: -1})  # -A^3, the bracket factor of one positive destabilization
 

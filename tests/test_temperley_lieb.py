@@ -1,4 +1,3 @@
-import functools
 import importlib.util
 import math
 import pathlib
@@ -8,7 +7,7 @@ import threading
 
 import pytest
 
-from conftest import DELTA, bracket_from_pd, enumerate_pairings, random_knot_word, random_word
+from conftest import DELTA, bracket_from_pd, enumerate_pairings, fresh_tables, random_knot_word, random_word
 from twistsum import (
     BraidWord,
     InternalInvariantViolation,
@@ -25,7 +24,7 @@ from twistsum import (
     twisted_torus_braid,
 )
 from twistsum import temperley_lieb
-from twistsum.braid import _full_twist_block, _reduced_twisted_torus_braid
+from twistsum.braid import _delta_power, _is_twisted_torus_word, _reduced_twisted_torus_braid
 from twistsum.temperley_lieb import (
     _basis_size,
     _bracket,
@@ -33,8 +32,6 @@ from twistsum.temperley_lieb import (
     _diagrams,
     _identity_pairing,
     _is_noncrossing_pairing,
-    _is_twisted_torus_word,
-    _link_states,
     _modules,
     _reachable,
     _rotated,
@@ -42,12 +39,6 @@ from twistsum.temperley_lieb import (
     catalan,
 )
 
-
-def _fresh_tables(monkeypatch):
-    """Give the diagram and the module tables fresh, empty caches for the rest of the test."""
-    monkeypatch.setattr(temperley_lieb, "_diagrams", functools.cache(temperley_lieb._diagrams.__wrapped__))
-    monkeypatch.setattr(temperley_lieb, "_modules",
-                        functools.lru_cache(maxsize=4)(temperley_lieb._modules.__wrapped__))
 
 CATALAN_EXPECTED = [1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 
@@ -67,7 +58,7 @@ def test_enumerate_matchings_counts():
 @pytest.mark.parametrize("tables", ["shared", "cold"])
 def test_reachable_basis_is_every_noncrossing_pairing(monkeypatch, tables):
     if tables == "cold":
-        _fresh_tables(monkeypatch)
+        fresh_tables(monkeypatch)
     for n in range(1, 9):
         diagrams = temperley_lieb._diagrams(n)
         ids = _reachable(diagrams)
@@ -307,11 +298,11 @@ def test_bracket_independent_of_table_state(monkeypatch):
     assert [kauffman_bracket(w) for w in words] == warm
     cold = []
     for w in words:
-        _fresh_tables(monkeypatch)
+        fresh_tables(monkeypatch)
         cold.append(kauffman_bracket(w))
     assert cold == warm
     # ids assigned in another order: tables first filled from arbitrary diagrams
-    _fresh_tables(monkeypatch)
+    fresh_tables(monkeypatch)
     for n in range(2, 7):
         diagrams = temperley_lieb._diagrams(n)
         for pairing in list(enumerate_pairings(n))[::-3]:
@@ -321,8 +312,9 @@ def test_bracket_independent_of_table_state(monkeypatch):
 
 def test_bracket_tables_shared_across_threads(monkeypatch):
     # Threads fill one strand count's tables at once; an id published before
-    # its table rows exist fails here within a few dozen rounds. The twisted
-    # torus words fill the module tables, two threads to a strand count.
+    # its table rows exist fails here within a few dozen rounds. The random
+    # words fill the diagram tables, which stay lazy, so the race is there;
+    # the module tables are complete before _modules returns them.
     rng = random.Random(24)
     words = [random_knot_word(rng, 8, 30) for _ in range(32)]
     words += [twisted_torus_braid(7, 3, 4, -1), torus_braid(7, 4), torus_braid(6, 7), torus_braid(6, -5)]
@@ -336,7 +328,7 @@ def test_bracket_tables_shared_across_threads(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(40):
-            _fresh_tables(monkeypatch)
+            fresh_tables(monkeypatch)
             results = [None] * len(words)
             threads = [threading.Thread(target=work, args=(k, results)) for k in range(4)]
             for t in threads:
@@ -350,9 +342,12 @@ def test_bracket_tables_shared_across_threads(monkeypatch):
 
 
 def test_link_states_are_the_noncrossing_states_with_no_arc_over_a_defect():
-    for n in range(1, 11):
+    # the states the walk reaches from one link state per module, grouped by
+    # defects: distinct, valid and as many as W_k has, so every link state
+    for n in range(1, 13):
+        modules = _modules(n)
         for k in range(n % 2, n + 1, 2):
-            states = _link_states(n, k)
+            states = [state for state, defects in zip(modules.states, modules.group) if defects == k]
             arcs = (n - k) // 2
             assert len(set(states)) == len(states) == math.comb(n, arcs) - (math.comb(n, arcs - 1) if arcs else 0)
             for state in states:
@@ -362,6 +357,15 @@ def test_link_states_are_the_noncrossing_states_with_no_arc_over_a_defect():
                     # no arc crosses one that starts inside it, and none passes over a defect
                     inside = range(min(i, state[i]) + 1, max(i, state[i])) if state[i] >= 0 else ()
                     assert all(state[m] >= 0 and min(i, state[i]) < state[m] < max(i, state[i]) for m in inside)
+
+
+def test_cell_module_sizes_above_the_selftest_strand_counts():
+    # the selftest counts the modules up to 13 strands; CI runs the module
+    # route on 15
+    for n in range(14, 17):
+        defects = _modules(n).group
+        for arcs in range(n // 2 + 1):
+            assert defects.count(n - 2 * arcs) == math.comb(n, arcs) - (math.comb(n, arcs - 1) if arcs else 0), (n, arcs)
 
 
 def test_cupcap_on_link_states():
@@ -468,8 +472,8 @@ def test_shape_check_accepts_the_family_words_and_rejects_near_misses():
     near_misses = [
         BraidWord(5, (1, 2, 3, 4, 1, 2, 4, 4)),  # one letter changed
         BraidWord(5, (2, 3, 4, 1) * 3),  # the run starts at sigma_2
-        BraidWord(5, (1, 2, 3, 4) * 3 + _full_twist_block(5, -1)),  # a twist on r = n strands
-        BraidWord(5, (1, 2, 3, 4) * 2 + _full_twist_block(3, -1)[:-1]),  # a twist cut short
+        BraidWord(5, (1, 2, 3, 4) * 3 + _delta_power(5, -5)),  # a twist on r = n strands
+        BraidWord(5, (1, 2, 3, 4) * 2 + _delta_power(3, -3)[:-1]),  # a twist cut short
         BraidWord(5, (1, 2, 3, 4, 1, 2, 3)),  # a partial period
         BraidWord(5, (-4, -3, -2, -1) + (3, 2, 1, 3, 2)),  # a power of D_4 cut short
         BraidWord(5, (1, 2, 3, 4) + (4, 3, 2, 1)),  # D_m on m = n strands
@@ -486,7 +490,7 @@ def test_shape_check_accepts_the_family_words_and_rejects_near_misses():
 
 
 def test_a_twisted_torus_bracket_takes_the_module_route(monkeypatch):
-    _fresh_tables(monkeypatch)
+    fresh_tables(monkeypatch)
     kauffman_bracket(twisted_torus_braid(9, 5, 7, -1))
     kauffman_bracket(torus_braid(8, -9))
     kauffman_bracket(_reduced_twisted_torus_braid(9, 5, 7, -1))
@@ -505,19 +509,19 @@ def test_a_twisted_torus_bracket_takes_the_module_route(monkeypatch):
 # changed trace leaves a remainder. On the full transfer it is the identity
 # diagram, the one start, which only the all-straight smoothing reaches; the
 # figure-eight word is outside the twisted torus shape, so it takes that
-# route. The last start of the module route lies in W_0, whose weight
-# Delta_0 = 1; T(4,3) has no diagonal entry there, so corrupting that start
-# raises only if the bracket runs it and closes its own entry.
-@pytest.mark.parametrize("word, last, corrupt", [
+# route. The first start of W_0, c_0 = (0 1)(2 3), weighs Delta_0 = 1 and,
+# like every state of W_0, has no diagonal entry for T(4,3), so corrupting
+# it raises only if the bracket runs that start and closes its own entry.
+@pytest.mark.parametrize("word, w0, corrupt", [
     (torus_braid(4, 3), False, lambda base, packed: (base + 2, packed)),
     (torus_braid(4, 3), False, lambda base, packed: (base, packed + 1)),
     (BraidWord(3, (1, -2, 1, -2)), False, lambda base, packed: (base + 2, packed)),
     (torus_braid(4, 3), True, lambda base, packed: (base, packed + 1)),
-], ids=["exponent-off-by-2", "trace-off-by-1", "full-transfer-exponent-off-by-2", "last-start-trace-off-by-1"])
-def test_a_corrupted_module_trace_raises(monkeypatch, word, last, corrupt):
+], ids=["exponent-off-by-2", "trace-off-by-1", "full-transfer-exponent-off-by-2", "w0-start-trace-off-by-1"])
+def test_a_corrupted_module_trace_raises(monkeypatch, word, w0, corrupt):
     n = word.strands
     tables = temperley_lieb._modules(n) if _is_twisted_torus_word(word) else temperley_lieb._diagrams(n)
-    target = tables.starts[-1] if last else 0
+    target = tables.group.index(0) if w0 else 0
     real_run = temperley_lieb._run
     runs = []
 
@@ -548,6 +552,7 @@ def test_a_module_route_state_stays_within_one_cell_module(monkeypatch):
 
     monkeypatch.setattr(temperley_lieb, "_step", recorded)
     jones_from_braid(twisted_torus_braid(11, 6, 8, -1))  # the (a, k1, k2) = (1, 3, 2) member
-    bound = max(len(_link_states(11, k)) for k in range(11, -1, -2))
+    defects = _modules(11).group
+    bound = max(defects.count(k) for k in range(11, -1, -2))
     assert bound == 165
     assert sizes and max(sizes) <= bound
