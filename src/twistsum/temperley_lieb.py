@@ -90,12 +90,17 @@ most sum_k C(L, k) 2^(k+n-1) = 3^L 2^(n-1) < 2^(W-2) in absolute value.
 
 Rotation. The closure of a braid word does not change under cyclic rotation
 of the word (conjugation by a prefix), and neither does the writhe, so the
-full transfer runs on a rotation that keeps the state small for longer:
-the word starts at the beginning of the longest circular run of letters that
-avoids its highest generator. While that run is applied, the strand right
-of the highest generator stays straight, so the state holds at most
-C(n - 1) diagrams for as long as possible. The rule costs one pass over the
-word.
+full transfer runs on the rotation that starts right after the last
+occurrence of the highest generator. Until that generator occurs again, the
+strand right of it stays straight, so the state holds at most C(n - 1)
+diagrams. On the 5,399 full-transfer brackets of the small-braids words of
+seeds 1-3 this rotation steps 1,601,432 entries, where the word as written
+steps 1,696,628 and a rotation to the longest run that avoids the highest
+generator 1,574,671. Rotation included, it took 0.470-0.476 s, against
+0.478-0.484 s for each of the other two (sum over the words of the best of
+6 runs, two rounds, one 2-core host). The module route steps the word as
+written: rotated by this rule, the reduced word of (a, k1, k2) = (1,2,5)
+steps 3.35 million entries there instead of 1.17 million.
 
 Cell modules. A link state on n points pairs some points by noncrossing arcs
 and leaves k of them as defects, with no arc passing over a defect. The link
@@ -185,39 +190,27 @@ dim W_k * 3^L < 2^n 2^bit_length(3^L) = 2^(W-1), and each trace is uniquely
 decodable on its own. The decoded quotient is the bracket, under 2^(W-2) by
 the bound above.
 
-Reversal. The module route steps the word reversed. Flipping diagrams top to
-bottom is an anti-automorphism of the algebra that fixes every E_j, so it
-maps the image A + A^(-1) E_j of each letter to itself and the image of a
-word to that of its reverse, and it keeps the loop count of every closure:
-the reversed word has the same bracket. On the reduced words of the
-paper's family the order matters both ways. Of the 11 members with p <= 15
-and TT(19,13,15,-1), the reversed word steps fewer entries for 3, among
-them TT(19,13,15,-1): 9.43 against 11.04 million entries, 3.3 against 3.9 s
-with warm tables. It steps more for the other 9, such as (a, k1, k2) =
-(1,2,5): 2.33 against 1.17 million. On torus words both orders step the
-same entries.
-
 Why both routes. The two routes share every function but their table
 constructors, and differ most in where they start. The module route steps
 each of the C(n, floor(n/2)) link states, where the full transfer steps the
 identity alone, and random words fill their states: on the 1,800 words of
-the small-braids benchmark (seed 1) it steps 1,552,764 entries against
-528,220 and takes about three times as long. On torus and twisted torus
-words it stays sparse: on the four jones-9 words (TT(9,5,7,-1), T(9,10),
-T(8,9), T(8,11)) it steps 51,410, 35,886, 12,221 and 15,113 entries where
-the full transfer steps 128,315, 288,043, 66,857 and 86,877. Its tables hold
-the C(n, floor(n/2)) link states (1,716 at n = 13), where the full transfer
-interns every diagram it reaches, up to C(n) (742,900 at n = 13). The
-Jones polynomial of a ``TT`` node with q < r runs on the shorter r-strand
-word d_r^(q + rs) D_q^(p - r) that ``_reduced_twisted_torus_braid`` builds,
-with d_m = s1 ... s_(m-1) and D_m = s_(m-1) ... s1. The module route steps
-2,393 entries of that word for TT(9,5,7,-1), 7 strands and 20 letters, where
-the full transfer steps 2,155, and both take 2-5 ms on their first run; on
-the 11 strands of (a, k1, k2) = (2,2,2) it steps 126,977 against 366,268 and
-takes 0.04-0.08 s against 0.25-1.0 s, the higher figures while the tables
-fill. So ``kauffman_bracket`` takes the module route for exactly the
-torus-shaped words that ``_is_twisted_torus_word`` in ``braid.py`` accepts,
-the words that module builds, and the full transfer for every other word.
+the small-braids benchmark (seed 1) it steps 1,440,600 entries against
+535,538 and takes about 2.7 times as long. On torus and twisted torus words
+it stays sparse: on the torus words of jones-9 (T(9,10), T(8,9), T(8,11)) it
+steps 35,886, 12,221 and 15,113 entries where the full transfer steps
+288,043, 66,857 and 86,877. Its tables hold the C(n, floor(n/2)) link
+states (1,716 at n = 13), where the full transfer interns every diagram it
+reaches, up to C(n) (742,900 at n = 13). The Jones polynomial of a ``TT``
+node with q < r runs on the shorter r-strand word d_r^(q + rs) D_q^(p - r)
+that ``_reduced_twisted_torus_braid`` builds, with d_m = s1 ... s_(m-1) and
+D_m = s_(m-1) ... s1. The module route steps 1,985 entries of that word for
+TT(9,5,7,-1), the fourth jones-9 word, 7 strands and 20 letters, where the
+full transfer steps 2,155, and both take 1-3 ms on their first run; on the
+11 strands of (a, k1, k2) = (2,2,2) it steps 105,489 against 366,268 and
+takes 0.03 s against 0.15-0.46 s, the higher figure while the tables fill.
+So ``kauffman_bracket`` takes the module route for exactly the torus-shaped
+words that ``_is_twisted_torus_word`` in ``braid.py`` accepts, the words
+that module builds, and the full transfer for every other word.
 
 The Jones polynomial is the writhe correction (-A^3)^(-writhe) times the
 bracket, re-expressed in t = A^{-4}. For a knot every exponent of the
@@ -484,24 +477,12 @@ def _transfer(tables: _Tables, s: int, letters: tuple[int, ...]) -> dict[int, La
 
 
 def _rotated(letters: tuple[int, ...]) -> tuple[int, ...]:
-    """The rotation starting at the longest circular run that avoids the highest generator."""
+    """The rotation that starts right after the last occurrence of the highest generator."""
     if not letters:
         return letters
     top = max(abs(l) for l in letters)
-    length = len(letters)
-    first = next(i for i, l in enumerate(letters) if abs(l) == top)
-    best_start, best_len, run_start, run_len = 0, 0, 0, 0
-    for k in range(first + 1, first + length + 1):
-        i = k % length
-        if abs(letters[i]) == top:
-            if run_len > best_len:
-                best_start, best_len = run_start, run_len
-            run_len = 0
-        else:
-            if not run_len:
-                run_start = i
-            run_len += 1
-    return letters[best_start:] + letters[:best_start]
+    cut = max(i for i, l in enumerate(letters) if abs(l) == top) + 1
+    return letters[cut:] + letters[:cut]
 
 
 def _basis_size(strands: int) -> int | str:
@@ -553,14 +534,14 @@ def _bracket(b: BraidWord, tables: _Tables) -> LaurentPoly:
     delta <closure(b)> is the weighted sum of the diagonal entries. With one
     start, the identity, every entry is diagonal and a diagram whose closure
     has m loops weighs delta^m. The cell modules, with more starts, step the
-    word reversed once per start, keep only the start's own entry and weigh
+    word as written once per start, keep only the start's own entry and weigh
     the diagonal of W_k by Delta_k. On one strand both tables hold one state
     that weighs delta.
     """
     trace = len(tables.starts) > 1
-    # the modules step the word reversed, the full transfer a rotation of it:
-    # neither changes the bracket, and each keeps its own route's state small
-    letters = b.letters[::-1] if trace else _rotated(b.letters)
+    # the full transfer steps a rotation of the word, with the same closure,
+    # to keep its state small for longer; the modules step it as written
+    letters = b.letters if trace else _rotated(b.letters)
     group = tables.group
     diagonal = []
     for s in tables.starts:

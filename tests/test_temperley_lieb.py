@@ -249,9 +249,9 @@ def test_identity_pairing_shape():
 def test_rotation_rule():
     assert _rotated(()) == ()
     assert _rotated((2, 2, -2)) == (2, 2, -2)
-    # the longest run avoiding generator 3 is (1, 2, 1)
-    assert _rotated((3, 1, 2, 1, 3, 2)) == (1, 2, 1, 3, 2, 3)
-    # the run may wrap around the end of the word
+    # the rotation starts right after the last letter 3
+    assert _rotated((3, 1, 2, 1, 3, 2)) == (2, 3, 1, 2, 1, 3)
+    # the letters after it wrap around to the start of the word
     assert _rotated((1, 3, 2, 3, 2, 1)) == (2, 1, 1, 3, 2, 3)
     # a twisted torus word starts at its twist block
     w = twisted_torus_braid(9, 5, 7, -1)
@@ -526,7 +526,7 @@ def test_a_corrupted_module_trace_raises(monkeypatch, word, w0, corrupt):
     runs = []
 
     def corrupted(run_tables, start, letters):
-        runs.append((run_tables, start))
+        runs.append((run_tables, start, letters))
         state, width = real_run(run_tables, start, letters)
         if start == target:
             state[target] = corrupt(*state.get(target, (0, 0)))
@@ -535,8 +535,11 @@ def test_a_corrupted_module_trace_raises(monkeypatch, word, w0, corrupt):
     monkeypatch.setattr(temperley_lieb, "_run", corrupted)
     with pytest.raises(InternalInvariantViolation):
         kauffman_bracket(word)
-    assert all(run_tables is tables for run_tables, _ in runs)
-    assert [start for _, start in runs] == list(tables.starts)
+    assert all(run_tables is tables for run_tables, _, _ in runs)
+    assert [start for _, start, _ in runs] == list(tables.starts)
+    # the module route steps the word as written, the full transfer its rotation
+    letters = word.letters if _is_twisted_torus_word(word) else _rotated(word.letters)
+    assert all(run_letters == letters for _, _, run_letters in runs)
 
 
 def test_a_module_route_state_stays_within_one_cell_module(monkeypatch):
