@@ -11,8 +11,11 @@ large for the interpreter to index with, reported as ``internal error:
 <reason>``), each reported on one stderr line. That holds
 for the usage errors argparse detects too (a missing argument, an invalid
 choice, a bad threshold): one ``error: <message>`` line, no usage block. The
-commands only return 0 or 1, or 2 for a parameter ValueError; every library
-error is mapped to its exit code at one boundary, in main. Identical
+commands only return 0 or 1, or 2 for a parameter ValueError, and write with
+plain print; every library error is mapped to its exit code at one boundary,
+in main. Argument parsing runs inside that boundary, so it covers --help
+too, and nothing under main opens a file, so any OSError there is standard
+output refusing a write or the final flush. Identical
 inputs produce byte-identical outputs; timing fields appear only with
 --timings so golden-file comparisons stay reproducible. The Jones strand
 threshold can be overridden with --jones-threshold or the environment
@@ -67,21 +70,9 @@ def _resolve_threshold(flag_value: int | None, parser: argparse.ArgumentParser) 
     return value
 
 
-class _OutputFailed(Exception):
-    """Standard output refused a write or the flush: the program itself did not fail."""
-
-
-def _print(text: str) -> None:
-    """Print one line of output; a failed write raises _OutputFailed with the system's reason."""
-    try:
-        print(text)
-    except OSError as exc:
-        raise _OutputFailed(exc.strerror or str(exc)) from exc
-
-
 def _emit(obj, args) -> None:
     if getattr(args, "output_format", "json") == "json":
-        _print(json.dumps(obj))
+        print(json.dumps(obj))
     else:
         _emit_text(obj)
 
@@ -90,19 +81,19 @@ def _emit_text(obj, indent: str = "") -> None:
     if isinstance(obj, dict):
         for key, value in obj.items():
             if isinstance(value, dict) and set(value) == {"var", "terms"}:
-                _print(f"{indent}{key}: {LaurentPoly.from_json_obj(value).to_text(value['var'])}")
+                print(f"{indent}{key}: {LaurentPoly.from_json_obj(value).to_text(value['var'])}")
             elif isinstance(value, (dict, list)):
-                _print(f"{indent}{key}:")
+                print(f"{indent}{key}:")
                 _emit_text(value, indent + "  ")
             else:
-                _print(f"{indent}{key}: {value}")
+                print(f"{indent}{key}: {value}")
     elif isinstance(obj, list):
         for i, value in enumerate(obj):
             if i:
-                _print(f"{indent}-")
+                print(f"{indent}-")
             _emit_text(value, indent)
     else:
-        _print(f"{indent}{obj}")
+        print(f"{indent}{obj}")
 
 
 def _fail(message: str, code: int) -> int:
@@ -113,13 +104,13 @@ def _fail(message: str, code: int) -> int:
 def cmd_construct(args) -> int:
     expr = parse_expression(args.spec)
     if args.format == "expr":
-        _print(format_expression(expr))
+        print(format_expression(expr))
         return EXIT_OK
     word = expr_to_braid(expr)
     if args.format == "braid":
-        _print(braid_mod.braid_to_text(word))
+        print(braid_mod.braid_to_text(word))
         return EXIT_OK
-    _print(braid_mod.pd_code_to_text(braid_mod.closure_pd_code(word)))
+    print(braid_mod.pd_code_to_text(braid_mod.closure_pd_code(word)))
     return EXIT_OK
 
 
@@ -303,6 +294,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.exit(EXIT_USAGE, f"error: {message}\n")
 
+    def print_help(self, file=None):
+        # argparse's own writer drops an OSError, which would lose the help text with exit 0
+        (file or sys.stdout).write(self.format_help())
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -361,10 +356,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if hasattr(args, "jones_threshold"):  # construct computes no Jones polynomial
-        args.jones_threshold = _resolve_threshold(args.jones_threshold, parser)
     try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            sys.stdout.flush()  # --help to a block-buffered stdout fails here, not at exit
+            raise
+        if hasattr(args, "jones_threshold"):  # construct computes no Jones polynomial
+            args.jones_threshold = _resolve_threshold(args.jones_threshold, parser)
         try:
             code = args.func(args)
         except TooManyStrands as exc:
@@ -377,13 +376,10 @@ def main(argv: list[str] | None = None) -> int:
                 "basis_size": exc.basis_size,
             }, args)
             code = EXIT_INFEASIBLE
-        try:
-            sys.stdout.flush()  # a block-buffered stdout fails here, not in print
-        except OSError as exc:
-            raise _OutputFailed(exc.strerror or str(exc)) from exc
+        sys.stdout.flush()  # a block-buffered stdout fails here, not in print
         return code
-    except _OutputFailed as exc:
-        return _fail(f"cannot write output: {exc}", EXIT_INTERNAL)
+    except OSError as exc:  # nothing under main opens a file: this is stdout refusing output
+        return _fail(f"cannot write output: {exc.strerror or exc}", EXIT_INTERNAL)
     except InternalInvariantViolation as exc:
         return _fail(f"internal error: {exc}", EXIT_INTERNAL)
     except MemoryError:

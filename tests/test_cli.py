@@ -130,16 +130,36 @@ class _FailingStdout(io.TextIOBase):
     def flush(self):
         raise self.error
 
+    def close(self):
+        # IOBase's finalizer calls close, which would flush and raise once
+        # more at garbage collection, failing whichever test runs then
+        pass
+
+
+# the commands that write JSON or text, named as in the test ids
+_WRITERS = {
+    "over-threshold-record": ["invariant", "TT(19,13,15,-1)", "jones"],
+    "result": ["invariant", "T(2,3)", "alexander"],
+    "verify": ["verify", "--a", "1", "--k1", "2", "--k2", "2"],
+    "enumerate": ["enumerate", "--a-max", "1", "--k1-max", "2", "--k2-max", "2"],
+    "selftest": ["selftest", "--seed", "3"],
+}
+
 
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("output_format", ["json", "text"])
-@pytest.mark.parametrize("spec, which", [("TT(19,13,15,-1)", "jones"), ("T(2,3)", "alexander")],
-                         ids=["over-threshold-record", "result"])
-def test_a_failed_write_exits_4_on_one_stderr_line(capsys, monkeypatch, spec, which, output_format, buffered):
+@pytest.mark.parametrize("argv", [
+    *(pytest.param([*argv, "--format", output_format], id=f"{name}-{output_format}")
+      for name, argv in _WRITERS.items() for output_format in ("json", "text")),
+    pytest.param(["construct", "TT(9,5,7,-1)"], id="construct-braid"),
+    pytest.param(["construct", "TT(9,5,7,-1)", "--format", "pd"], id="construct-pd"),
+    pytest.param(["--help"], id="help"),
+    pytest.param(["verify", "--help"], id="verify-help"),
+])
+def test_a_failed_write_exits_4_on_one_stderr_line(capsys, monkeypatch, argv, buffered):
     for error in (OSError(errno.ENOSPC, "No space left on device"),
                   BrokenPipeError(errno.EPIPE, "Broken pipe")):
         monkeypatch.setattr(sys, "stdout", _FailingStdout(buffered, error))
-        code = main(["invariant", spec, which, "--format", output_format])
+        code = main(argv)
         assert code == EXIT_INTERNAL
         err = capsys.readouterr().err
         assert err == f"error: cannot write output: {error.strerror}\n"
@@ -157,13 +177,16 @@ def _package_env(buffered):
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 def test_a_process_writing_to_a_full_device_exits_4_on_one_stderr_line(buffered):
-    # console_entry must leave nothing for the flush at interpreter exit to fail on
-    with open("/dev/full", "w") as full:
-        proc = subprocess.run([sys.executable, "-m", "twistsum", "invariant", "TT(19,13,15,-1)", "jones"],
-                              stdout=full, stderr=subprocess.PIPE, env=_package_env(buffered),
-                              text=True, timeout=60)
-    assert proc.returncode == EXIT_INTERNAL
-    assert proc.stderr == "error: cannot write output: No space left on device\n"
+    # console_entry must leave nothing for the flush at interpreter exit to
+    # fail on; argparse alone drops a failed write of the help text and exits
+    # 0, or leaves it buffered for that flush, which exits 120
+    for argv in (["invariant", "TT(19,13,15,-1)", "jones"], ["--help"], ["verify", "--help"]):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "twistsum", *argv],
+                                  stdout=full, stderr=subprocess.PIPE, env=_package_env(buffered),
+                                  text=True, timeout=60)
+        assert proc.returncode == EXIT_INTERNAL, argv
+        assert proc.stderr == "error: cannot write output: No space left on device\n", argv
 
 
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
