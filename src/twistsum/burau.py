@@ -85,7 +85,12 @@ with a tag s, the pivot of the step that stored it (s = p_(-1) = 1, None in
 the code, for an input entry), and stands for the true value T = S p_(k-1) / s
 at step k. An entry is left alone until a step whose pivot row holds its
 column eliminates its row, so a dense row costs work only where the pivot rows
-reach it, not at every step. When its row becomes the pivot row, each entry is
+reach it, not at every step. The speed relies on the two dense lines of
+B - I being rows: run on the transpose (B - I)^T, which has the same
+determinant and gave the same Alexander polynomials on the 1,800
+small-braids words and the 64 alexander-sweep members, the 64 sweep
+determinants took 14.6 s against 0.063 s (2-core Xeon, Python 3.11.7).
+When its row becomes the pivot row, each entry is
 caught up to T with one exact division by its own tag. Candidate pivots are
 compared by their true values. When step k updates entry j of row i, with S =
 S_ij of tag s and S_ik of tag s', substituting T = S p_(k-1) / s and T_ik =

@@ -158,36 +158,31 @@ def cmd_enumerate(args) -> int:
 
 
 def _selftest_suites(args):
-    def torus_alexander_oracle() -> bool:
+    # each suite yields one boolean per check; cmd_selftest decides it
+    def torus_alexander_oracle():
         for p in range(2, 8):
             for q in range(p + 1, 8):
                 if gcd(p, q) != 1:
                     continue
                 braidword = braid_mod.torus_braid(p, q)
-                if alexander_from_braid(braidword) != torus_alexander_closed(p, q):
-                    return False
-        return True
+                yield alexander_from_braid(braidword) == torus_alexander_closed(p, q)
 
-    def torus_jones_oracle() -> bool:
+    def torus_jones_oracle():
         for p, q in ((2, 3), (2, 5), (2, 7), (3, 4), (3, 5)):
             braidword = braid_mod.torus_braid(p, q)
-            if tl.jones_from_braid(braidword, args.jones_threshold) != torus_jones_closed(p, q):
-                return False
-        return True
+            yield tl.jones_from_braid(braidword, args.jones_threshold) == torus_jones_closed(p, q)
 
-    def catalan_basis() -> bool:
+    def catalan_basis():
         # the diagrams the transfer reaches from the identity are C(n)
         # distinct noncrossing pairings
         expected = [1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
-        if [tl.catalan(n) for n in range(1, 11)] != expected:
-            return False
+        yield [tl.catalan(n) for n in range(1, 11)] == expected
         for n in range(1, 9):
             diagrams = tl._diagrams(n)
             ids = tl._reachable(diagrams)
             pairings = {diagrams.states[d] for d in ids}
-            if not (len(ids) == len(pairings) == expected[n - 1]
-                    and all(tl._is_noncrossing_pairing(p) for p in pairings)):
-                return False
+            yield len(ids) == len(pairings) == expected[n - 1]
+            yield all(tl._is_noncrossing_pairing(p) for p in pairings)
         # the cell modules the trace steps: C(n, (n-k)/2) - C(n, (n-k)/2 - 1)
         # link states with k defects, squares summing to C(n); building them
         # raises if a table entry leaves its module
@@ -195,16 +190,14 @@ def _selftest_suites(args):
             try:
                 defects = tl._modules(n).group
             except InternalInvariantViolation:
-                return False
+                yield False
+                return
             arcs = range(n // 2 + 1)  # (n - k) / 2 for each module
             dims = [defects.count(n - 2 * a) for a in arcs]
-            if dims != [comb(n, a) - (comb(n, a - 1) if a else 0) for a in arcs]:
-                return False
-            if sum(d * d for d in dims) != tl.catalan(n):
-                return False
-        return True
+            yield dims == [comb(n, a) - (comb(n, a - 1) if a else 0) for a in arcs]
+            yield sum(d * d for d in dims) == tl.catalan(n)
 
-    def burau_relations() -> bool:
+    def burau_relations():
         # on the column updates the Alexander route runs. A positive braid
         # relation sets a run of two letters and a lone letter against the
         # lone letter and the run; a negative one sets three lone letters
@@ -215,15 +208,13 @@ def _selftest_suites(args):
         for n in range(3, 6):
             for i in range(1, n - 1):
                 for s in (1, -1):
-                    if image(n, s * i, s * (i + 1), s * i) != image(n, s * (i + 1), s * i, s * (i + 1)):
-                        return False
+                    yield image(n, s * i, s * (i + 1), s * i) == image(n, s * (i + 1), s * i, s * (i + 1))
             one = BurauMatrix.identity(n - 1)
             for i in range(1, n):
-                if image(n, i, -i) != one or image(n, -i, i) != one:
-                    return False
-        return True
+                yield image(n, i, -i) == one
+                yield image(n, -i, i) == one
 
-    def temperley_lieb_relations() -> bool:
+    def temperley_lieb_relations():
         # g_i g_i^-1 = g_i^-1 g_i = 1 and the braid relation, on every basis
         # diagram and on every link state of every cell module, stepped by the
         # kernels the bracket runs
@@ -232,14 +223,12 @@ def _selftest_suites(args):
                 for d in tl._reachable(tables):
                     one = {d: LaurentPoly.one()}
                     for i in range(1, n):
-                        if tl._transfer(tables, d, (i, -i)) != one or tl._transfer(tables, d, (-i, i)) != one:
-                            return False
+                        yield tl._transfer(tables, d, (i, -i)) == one
+                        yield tl._transfer(tables, d, (-i, i)) == one
                     for i in range(1, n - 1):
-                        if tl._transfer(tables, d, (i, i + 1, i)) != tl._transfer(tables, d, (i + 1, i, i + 1)):
-                            return False
-        return True
+                        yield tl._transfer(tables, d, (i, i + 1, i)) == tl._transfer(tables, d, (i + 1, i, i + 1))
 
-    def markov_sample() -> bool:
+    def markov_sample():
         rng = random.Random(args.seed)
         for _ in range(25):
             n = rng.randint(2, 5)
@@ -257,11 +246,8 @@ def _selftest_suites(args):
             conjugated = braid_mod.BraidWord(n, (conj,) + letters + (-conj,))
             stabilized = braid_mod.BraidWord(n + 1, letters + (rng.choice([n, -n]),))
             for moved in (conjugated, stabilized):
-                if alexander_from_braid(moved) != base_alex:
-                    return False
-                if tl.jones_from_braid(moved, args.jones_threshold) != base_jones:
-                    return False
-        return True
+                yield alexander_from_braid(moved) == base_alex
+                yield tl.jones_from_braid(moved, args.jones_threshold) == base_jones
 
     return [
         ("torus-alexander-oracle", torus_alexander_oracle),
@@ -274,16 +260,15 @@ def _selftest_suites(args):
 
 
 def cmd_selftest(args) -> int:
+    # a suite fails at its first false check; all() resumes it no further
     results = []
-    all_ok = True
     for name, suite in _selftest_suites(args):
         start = time.perf_counter()
-        ok = suite()
-        entry = {"suite": name, "ok": ok}
+        entry = {"suite": name, "ok": all(suite())}
         if args.timings:
             entry["millis"] = round((time.perf_counter() - start) * 1000.0, 1)
         results.append(entry)
-        all_ok = all_ok and ok
+    all_ok = all(entry["ok"] for entry in results)
     _emit({"selftest": results, "ok": all_ok}, args)
     return EXIT_OK if all_ok else EXIT_MISMATCH
 

@@ -11,10 +11,14 @@ from conftest import (
     random_knot_word,
     random_word,
 )
+import twistsum.burau as burau_mod
 from twistsum import (
     BraidWord,
+    InternalInvariantViolation,
     LaurentPoly,
     NotAKnot,
+    NotAlexanderLike,
+    NotDivisible,
     alexander_from_braid,
     alexander_span,
     braid_connected_sum,
@@ -78,6 +82,10 @@ def test_burau_of_word_basics():
     assert burau_of_word(BraidWord(2, (1,))).entries[0][0] == MINUS_T
     cube = burau_of_word(BraidWord(2, (1, 1, 1)))
     assert cube.entries[0][0] == LaurentPoly.monomial(3, -1)
+    with pytest.raises(ValueError, match="at least 2 strands"):
+        burau_of_word(BraidWord(1, ()))
+    with pytest.raises(ValueError, match="square"):
+        BurauMatrix(((LaurentPoly.one(), LaurentPoly.zero()),))
 
 
 def test_burau_of_word_matches_generator_products():
@@ -97,6 +105,17 @@ def test_alexander_small_knots():
 def test_alexander_rejects_links():
     with pytest.raises(NotAKnot):
         alexander_from_braid(torus_braid(2, 2))
+
+
+@pytest.mark.parametrize("det, cause", [
+    (LaurentPoly.one(), NotDivisible),  # not a multiple of 1 + t + t^2
+    (LaurentPoly({0: 2, 1: 2, 2: 2}), NotAlexanderLike),  # quotient 2, not +-1 at t = 1
+])
+def test_alexander_guards_reject_a_wrong_determinant(monkeypatch, det, cause):
+    monkeypatch.setattr(burau_mod, "_det_bareiss", lambda rows: det)
+    with pytest.raises(InternalInvariantViolation) as raised:
+        alexander_from_braid(torus_braid(3, 4))
+    assert isinstance(raised.value.__cause__, cause)
 
 
 def test_alexander_torus_oracle():

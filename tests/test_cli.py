@@ -12,9 +12,12 @@ import pytest
 
 from conftest import fresh_tables
 import twistsum
+import twistsum.cli as cli_mod
+import twistsum.temperley_lieb as tl_mod
 from twistsum.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, _selftest_suites, main
 from twistsum.family import LEVELS
 from twistsum.knot_expr import MAX_DEPTH
+from twistsum.laurent import LaurentPoly
 
 
 def run(capsys, *argv):
@@ -341,7 +344,6 @@ def test_verify_text_format_mentions_caveat(capsys):
 def test_verify_exit_code_on_mismatch(capsys, monkeypatch):
     # The family itself never mismatches, so force the verdict to exercise
     # the exit-code contract.
-    import twistsum.cli as cli_mod
     from twistsum import family_verify as real_family_verify
 
     def forced_mismatch(params, level, threshold=None):
@@ -368,7 +370,6 @@ def test_selftest_runs_clean(capsys):
 
 def test_selftest_checks_the_kernels_the_pipelines_run(monkeypatch):
     import twistsum.burau as burau_mod
-    import twistsum.temperley_lieb as tl_mod
 
     real_apply_run = burau_mod._apply_run
     real_cupcap = tl_mod._cupcap
@@ -381,8 +382,8 @@ def test_selftest_checks_the_kernels_the_pipelines_run(monkeypatch):
     fresh_tables(monkeypatch)
     monkeypatch.setattr(tl_mod, "_cupcap", lambda pairing, j: (pairing, 1))
     suites = dict(_selftest_suites(SimpleNamespace(seed=0, jones_threshold=None)))
-    assert not suites["burau-relations"]()
-    assert not suites["catalan-basis"]()
+    assert not all(suites["burau-relations"]())
+    assert not all(suites["catalan-basis"]())
 
     # a module table that joins two adjacent defects instead of sending them to
     # 0; the joined term falls to a module with fewer defects and never returns
@@ -400,7 +401,64 @@ def test_selftest_checks_the_kernels_the_pipelines_run(monkeypatch):
     monkeypatch.setattr(tl_mod, "_cupcap", join_defects)
     fresh_tables(monkeypatch)
     suites = dict(_selftest_suites(SimpleNamespace(seed=0, jones_threshold=None)))
-    assert not suites["catalan-basis"]()
+    assert not all(suites["catalan-basis"]())
+
+
+def _break_oracle(monkeypatch, name):
+    monkeypatch.setattr(cli_mod, name, lambda p, q: LaurentPoly.one())
+
+
+def _break_alexander_by_length(monkeypatch):
+    # a stand-in that changes under conjugation (two more letters) and
+    # stabilization (one more), so every Markov check compares unequal values
+    monkeypatch.setattr(cli_mod, "alexander_from_braid", lambda word: LaurentPoly.monomial(len(word.letters)))
+
+
+def _break_loops(monkeypatch):
+    # a cup-cap that closes no loop makes e_i e_i = e_i instead of delta e_i,
+    # so g_i g_i^-1 is no longer 1; the states it reaches are the right ones
+    real_cupcap = tl_mod._cupcap
+
+    def no_loop(state, j):
+        moved = real_cupcap(state, j)
+        return None if moved is None else (moved[0], 0)
+
+    fresh_tables(monkeypatch)
+    monkeypatch.setattr(tl_mod, "_cupcap", no_loop)
+
+
+_BREAKS = {
+    "torus-alexander-oracle": lambda mp: _break_oracle(mp, "torus_alexander_closed"),
+    "torus-jones-oracle": lambda mp: _break_oracle(mp, "torus_jones_closed"),
+    "markov-sample": _break_alexander_by_length,
+    "temperley-lieb-relations": _break_loops,
+}
+
+
+@pytest.mark.parametrize("suite", list(_BREAKS))
+def test_each_selftest_suite_reports_its_broken_kernel(monkeypatch, suite):
+    # the suites look these names up at call time, so a patch reaches them
+    _BREAKS[suite](monkeypatch)
+    suites = dict(_selftest_suites(SimpleNamespace(seed=0, jones_threshold=None)))
+    assert not all(suites[suite]())
+
+
+def test_selftest_stops_a_suite_at_its_first_false_check(capsys, monkeypatch):
+    # resuming the suite after its false check would raise, which main
+    # reports as exit 4 with an internal error on stderr
+    def stops():
+        yield True
+        yield False
+        raise AssertionError("resumed after a false check")
+
+    def passes():
+        yield True
+
+    monkeypatch.setattr(cli_mod, "_selftest_suites", lambda args: [("stops", stops), ("passes", passes)])
+    code, out, err = run(capsys, "selftest")
+    assert code == EXIT_MISMATCH and err == ""
+    assert json.loads(out) == {"selftest": [{"suite": "stops", "ok": False}, {"suite": "passes", "ok": True}],
+                               "ok": False}
 
 
 def test_deep_nesting_is_a_syntax_error(capsys):
@@ -442,10 +500,19 @@ def test_bareiss_remainder_guard_exits_4(capsys, monkeypatch):
     assert out == "" and "non-exact division" in err
 
 
+def test_alexander_divisibility_guard_exits_4(capsys, monkeypatch):
+    import twistsum.burau as burau_mod
+
+    # 1 is not divisible by 1 + t + ... + t^4: a wrong determinant is a bug
+    monkeypatch.setattr(burau_mod, "_det_bareiss", lambda rows: LaurentPoly.one())
+    code, out, err = run(capsys, "invariant", "TT(5,3,2,1)", "alexander")
+    assert code == EXIT_INTERNAL
+    assert out == "" and err.count("\n") == 1 and err.startswith("error: internal error:")
+
+
 def test_exponent_not_divisible_by_4_exits_4(capsys, monkeypatch):
     # A bracket whose writhe-corrected exponent is odd can only come from a
     # convention bug, so the Jones layer's own check must surface as exit 4.
-    import twistsum.temperley_lieb as tl_mod
     from twistsum import ExponentNotDivisibleBy4, InternalInvariantViolation, LaurentPoly
 
     assert issubclass(ExponentNotDivisibleBy4, InternalInvariantViolation)

@@ -30,6 +30,8 @@ def test_mul_examples():
     assert lp({1: 1, 0: 1}) * lp({1: 1, 0: -1}) == lp({2: 1, 0: -1})
     p = lp({-3: 2, 0: -1, 4: 7})
     assert p * LaurentPoly.one() == p
+    assert 3 * p == p * 3 == lp({-3: 6, 0: -3, 4: 21})
+    assert p * 0 == LaurentPoly.zero()
 
 
 def test_mul_min_exponent_adds():
@@ -65,6 +67,8 @@ def test_div_exact_examples():
 def test_div_exact_not_divisible():
     with pytest.raises(NotDivisible):
         lp({2: 1, 0: -1}).div_exact(lp({1: 1, 0: 2}))
+    with pytest.raises(NotDivisible):
+        lp({3: 5}).div_exact(lp({1: 1, 0: 1}))  # divisor spans more exponents
 
 
 def test_div_exact_laurent_shifts():
@@ -179,11 +183,14 @@ def test_span_and_exponents():
     assert (p.min_exp, p.max_exp, p.span) == (-2, 5, 7)
     with pytest.raises(ValueError):
         LaurentPoly.zero().min_exp
+    with pytest.raises(ValueError):
+        LaurentPoly.zero().max_exp
 
 
 def test_hash_and_equality_structural():
     assert hash(lp({0: 1, 2: 1})) == hash(lp({2: 1, 0: 1}))
     assert lp({1: 1, 0: 0}) == lp({1: 1})
+    assert (LaurentPoly.one() == 1) is False  # only a polynomial equals a polynomial
 
 
 def test_json_roundtrip():
@@ -200,6 +207,18 @@ def test_to_text():
     assert lp({-1: 1, 1: 1}).to_text() == "t^-1 + t"
     assert lp({2: 3}).to_text() == "3*t^2"
     assert lp({2: -1, -2: -1}).to_text("A") == "-A^-2 - A^2"
+    assert repr(lp({0: 1, 1: -1, 2: 1})) == "<LaurentPoly 1 - t + t^2>"
+
+
+@pytest.mark.parametrize("operation", [
+    lambda p: p + 1,
+    lambda p: p - 1,
+    lambda p: p * 1.5,
+    lambda p: 1.5 * p,
+])
+def test_operands_other_than_polynomials_and_ints_are_refused(operation):
+    with pytest.raises(TypeError):
+        operation(lp({0: 1, 1: -1}))
 
 
 def test_closed_form_alexander_of_t_2_10001():
