@@ -35,7 +35,7 @@ from math import comb, gcd
 
 from . import braid as braid_mod
 from . import temperley_lieb as tl
-from .burau import BurauMatrix, alexander_from_braid, burau_of_word
+from .burau import alexander_from_braid, burau_of_word
 from .errors import InternalInvariantViolation, TooManyStrands, TwistsumError
 from .family import FamilyParams, LEVELS, family_enumerate, family_verify
 from .knot_expr import (
@@ -71,7 +71,7 @@ def _resolve_threshold(flag_value: int | None, parser: argparse.ArgumentParser) 
 
 
 def _emit(obj, args) -> None:
-    if getattr(args, "output_format", "json") == "json":
+    if args.output_format == "json":
         print(json.dumps(obj))
     else:
         _emit_text(obj)
@@ -87,13 +87,11 @@ def _emit_text(obj, indent: str = "") -> None:
                 _emit_text(value, indent + "  ")
             else:
                 print(f"{indent}{key}: {value}")
-    elif isinstance(obj, list):
+    else:  # every list the CLI emits (checks, selftest) holds dicts
         for i, value in enumerate(obj):
             if i:
                 print(f"{indent}-")
             _emit_text(value, indent)
-    else:
-        print(f"{indent}{obj}")
 
 
 def _fail(message: str, code: int) -> int:
@@ -157,6 +155,20 @@ def cmd_enumerate(args) -> int:
     return EXIT_MISMATCH if counts["mismatch"] else EXIT_OK
 
 
+def _braid_relations(n: int):
+    """Pairs of letter tuples that are equal braids on n strands.
+
+    g_i g_i^-1 = g_i^-1 g_i = 1 against the empty word, and the braid relation
+    g_i g_(i+1) g_i = g_(i+1) g_i g_(i+1) in either sign.
+    """
+    for i in range(1, n):
+        yield (i, -i), ()
+        yield (-i, i), ()
+    for i in range(1, n - 1):
+        for s in (1, -1):
+            yield (s * i, s * (i + 1), s * i), (s * (i + 1), s * i, s * (i + 1))
+
+
 def _selftest_suites(args):
     # each suite yields one boolean per check; cmd_selftest decides it
     def torus_alexander_oracle():
@@ -201,32 +213,20 @@ def _selftest_suites(args):
         # on the column updates the Alexander route runs. A positive braid
         # relation sets a run of two letters and a lone letter against the
         # lone letter and the run; a negative one sets three lone letters
-        # against a negative run and a lone letter.
-        def image(n: int, *letters: int) -> BurauMatrix:
-            return burau_of_word(braid_mod.BraidWord(n, letters))
-
+        # against a negative run and a lone letter. The empty word gives the
+        # identity.
         for n in range(3, 6):
-            for i in range(1, n - 1):
-                for s in (1, -1):
-                    yield image(n, s * i, s * (i + 1), s * i) == image(n, s * (i + 1), s * i, s * (i + 1))
-            one = BurauMatrix.identity(n - 1)
-            for i in range(1, n):
-                yield image(n, i, -i) == one
-                yield image(n, -i, i) == one
+            for word, equal in _braid_relations(n):
+                yield burau_of_word(braid_mod.BraidWord(n, word)) == burau_of_word(braid_mod.BraidWord(n, equal))
 
     def temperley_lieb_relations():
-        # g_i g_i^-1 = g_i^-1 g_i = 1 and the braid relation, on every basis
-        # diagram and on every link state of every cell module, stepped by the
-        # kernels the bracket runs
+        # on every basis diagram and on every link state of every cell module,
+        # stepped by the kernels the bracket runs
         for n in range(2, 6):
             for tables in (tl._diagrams(n), tl._modules(n)):
                 for d in tl._reachable(tables):
-                    one = {d: LaurentPoly.one()}
-                    for i in range(1, n):
-                        yield tl._transfer(tables, d, (i, -i)) == one
-                        yield tl._transfer(tables, d, (-i, i)) == one
-                    for i in range(1, n - 1):
-                        yield tl._transfer(tables, d, (i, i + 1, i)) == tl._transfer(tables, d, (i + 1, i, i + 1))
+                    for word, equal in _braid_relations(n):
+                        yield tl._transfer(tables, d, word) == tl._transfer(tables, d, equal)
 
     def markov_sample():
         rng = random.Random(args.seed)

@@ -1,5 +1,6 @@
 import errno
 import io
+import itertools
 import json
 import os
 import random
@@ -10,11 +11,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import fresh_tables
+from conftest import fresh_tables, generator_product
 import twistsum
 import twistsum.cli as cli_mod
+import twistsum.family as family_mod
 import twistsum.temperley_lieb as tl_mod
-from twistsum.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, _selftest_suites, main
+from twistsum.cli import (
+    EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, _braid_relations, _selftest_suites, main,
+)
 from twistsum.family import LEVELS
 from twistsum.knot_expr import MAX_DEPTH
 from twistsum.laurent import LaurentPoly
@@ -368,6 +372,15 @@ def test_selftest_runs_clean(capsys):
     assert {"torus-alexander-oracle", "torus-jones-oracle", "catalan-basis"} <= suites
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_braid_relations_hold_in_the_dense_burau_reference(n):
+    pairs = list(_braid_relations(n))
+    for word, equal in pairs:
+        assert generator_product(n, word) == generator_product(n, equal), (word, equal)
+    assert sum(equal == () for _, equal in pairs) == 2 * (n - 1)
+    assert sum(len(word) == 3 for word, _ in pairs) == 2 * (n - 2)
+
+
 def test_selftest_checks_the_kernels_the_pipelines_run(monkeypatch):
     import twistsum.burau as burau_mod
 
@@ -557,6 +570,18 @@ def test_timings_cover_every_check_including_a_skip(capsys, monkeypatch):
     assert checks[-1]["skipped"] is True and checks[-1]["millis"] > 0
     code, out, _ = run(capsys, *argv)
     assert code == EXIT_OK and "millis" not in out
+
+
+def test_timings_time_every_check(capsys, monkeypatch):
+    # a clock that advances 1 ms per call: each check reads it twice
+    ticks = itertools.count()
+    monkeypatch.setattr(family_mod, "time", SimpleNamespace(perf_counter=lambda: next(ticks) / 1000.0))
+    code, out, _ = run(capsys, "verify", "--a", "1", "--k1", "2", "--k2", "2", "--level", "standard", "--timings")
+    assert code == EXIT_OK
+    checks = json.loads(out)["checks"]
+    assert [(c["invariant"], c["millis"]) for c in checks] == [
+        ("alexander", 1.0), ("determinant", 1.0), ("span", 1.0), ("span_vs_genus", 1.0),
+    ]
 
 
 def test_selftest_refused_by_threshold_exits_3(capsys):
