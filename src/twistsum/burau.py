@@ -362,6 +362,4 @@ def knot_determinant(b: BraidWord) -> int:
 
 def alexander_span(p: LaurentPoly) -> int:
     """Exponent span (max minus min); twice the Seifert genus for fibred knots."""
-    if not p:
-        raise ValueError("span of the zero polynomial is undefined")
     return p.span

@@ -136,20 +136,19 @@ def cmd_verify(args) -> int:
     return EXIT_MISMATCH if report.verdict == "mismatch" else EXIT_OK
 
 
+# each verdict's key in the enumerate summary, in the summary's order
+_SUMMARY_KEYS = {"verified-at-level": "pass", "mismatch": "mismatch", "partially-skipped": "skipped"}
+
+
 def cmd_enumerate(args) -> int:
     try:
         members = family_enumerate(args.a_max, args.k1_max, args.k2_max)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
-    counts = {"pass": 0, "mismatch": 0, "skipped": 0}
+    counts = dict.fromkeys(_SUMMARY_KEYS.values(), 0)
     for fp in members:
         report = family_verify(fp, args.level, args.jones_threshold)
-        if report.verdict == "verified-at-level":
-            counts["pass"] += 1
-        elif report.verdict == "mismatch":
-            counts["mismatch"] += 1
-        else:
-            counts["skipped"] += 1
+        counts[_SUMMARY_KEYS[report.verdict]] += 1
         _emit(report.to_json_obj(include_millis=args.timings), args)
     _emit({"summary": counts}, args)
     return EXIT_MISMATCH if counts["mismatch"] else EXIT_OK
@@ -171,18 +170,9 @@ def _braid_relations(n: int):
 
 def _selftest_suites(args):
     # each suite yields one boolean per check; cmd_selftest decides it
-    def torus_alexander_oracle():
-        for p in range(2, 8):
-            for q in range(p + 1, 8):
-                if gcd(p, q) != 1:
-                    continue
-                braidword = braid_mod.torus_braid(p, q)
-                yield alexander_from_braid(braidword) == torus_alexander_closed(p, q)
-
-    def torus_jones_oracle():
-        for p, q in ((2, 3), (2, 5), (2, 7), (3, 4), (3, 5)):
-            braidword = braid_mod.torus_braid(p, q)
-            yield tl.jones_from_braid(braidword, args.jones_threshold) == torus_jones_closed(p, q)
+    def torus_oracle(pipeline, closed, pairs):
+        for p, q in pairs:
+            yield pipeline(braid_mod.torus_braid(p, q)) == closed(p, q)
 
     def catalan_basis():
         # the diagrams the transfer reaches from the identity are C(n)
@@ -250,8 +240,13 @@ def _selftest_suites(args):
                 yield tl.jones_from_braid(moved, args.jones_threshold) == base_jones
 
     return [
-        ("torus-alexander-oracle", torus_alexander_oracle),
-        ("torus-jones-oracle", torus_jones_oracle),
+        # the lambdas read the pipelines and closed forms when the suite runs
+        ("torus-alexander-oracle", lambda: torus_oracle(
+            alexander_from_braid, torus_alexander_closed,
+            [(p, q) for p in range(2, 8) for q in range(p + 1, 8) if gcd(p, q) == 1])),
+        ("torus-jones-oracle", lambda: torus_oracle(
+            lambda word: tl.jones_from_braid(word, args.jones_threshold), torus_jones_closed,
+            ((2, 3), (2, 5), (2, 7), (3, 4), (3, 5)))),
         ("catalan-basis", catalan_basis),
         ("burau-relations", burau_relations),
         ("temperley-lieb-relations", temperley_lieb_relations),

@@ -8,7 +8,8 @@ An expression is a tree over four node kinds:
     Mirror(child)          mirror image
 
 Torus accepts a negative entry in either slot; a sign flip in one slot is the
-mirror image, so the pair is normalized internally to (|p|, sign-carried q).
+mirror image. The pair is kept as written (Torus(-2, 3) prints as T(-2,3)),
+and each invariant reads only |p|, |q| and the sign of p*q.
 The canonical unknot is Torus(1, 1).
 
 Invariants of Torus nodes come from closed forms, so expressions serve as an

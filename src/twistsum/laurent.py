@@ -110,8 +110,6 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         a, b = self._terms, other._terms
-        if not a or not b:
-            return LaurentPoly()
         if len(a) > len(b):
             a, b = b, a
         acc: dict[int, int] = {}
@@ -219,9 +217,9 @@ class LaurentPoly:
                 parts.append(f"{'+' if c > 0 else '-'} {body}")
         return " ".join(parts)
 
-    def to_json_obj(self, var: str = "t") -> dict:
+    def to_json_obj(self) -> dict:
         """Serialized form: terms ascending, coefficients as decimal strings."""
-        return {"var": var, "terms": [[e, str(c)] for e, c in self.items()]}
+        return {"var": "t", "terms": [[e, str(c)] for e, c in self.items()]}
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> LaurentPoly:

@@ -219,7 +219,10 @@ convention bug, never valid input, and raises immediately.
 
 Diagram counts grow like C(n), so bracket computations refuse strand counts
 above a feasibility threshold (default 12, C(12) = 208012) instead of
-consuming unbounded time; callers may raise the threshold explicitly.
+consuming unbounded time; callers may raise the threshold explicitly. The
+threshold reads the strand count on both routes. The module route's tables
+hold only C(n, floor(n/2)) link states (924 at n = 12), but it steps every
+one of them as a start; the refusal record gives C(n) on both routes.
 """
 
 from __future__ import annotations
@@ -576,13 +579,11 @@ def jones_from_braid(b: BraidWord, threshold: int | None = None) -> LaurentPoly:
     if not is_knot_closure(b):
         raise NotAKnot(f"closure of {b.strands}-strand word is not a knot")
     w = writhe(b)
-    bracket = kauffman_bracket(b, threshold)
-    corrected = bracket.shifted(-3 * w) * (1 if w % 2 == 0 else -1)
+    sign = -1 if w % 2 else 1
     terms = {}
-    for e, c in corrected.items():
+    for e, c in kauffman_bracket(b, threshold).items():
+        e -= 3 * w
         if e % 4:
-            raise ExponentNotDivisibleBy4(
-                f"corrected bracket exponent {e} not divisible by 4"
-            )
-        terms[-e // 4] = c
-    return LaurentPoly(terms)
+            raise ExponentNotDivisibleBy4(f"corrected bracket exponent {e} not divisible by 4")
+        terms[-e // 4] = sign * c
+    return _wrap(terms)

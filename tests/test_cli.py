@@ -238,6 +238,17 @@ def test_enumerate_single(capsys):
     assert json.loads(lines[1]) == {"summary": {"pass": 1, "mismatch": 0, "skipped": 0}}
 
 
+def test_enumerate_counts_partially_skipped_members_as_skipped(capsys):
+    # (1,4,2), (2,2,2), (2,3,2) and (2,4,2) have p > 12, so their Jones check
+    # is skipped under the default threshold
+    code, out, _ = run(capsys, "enumerate", "--a-max", "2", "--k1-max", "4",
+                       "--k2-max", "2", "--level", "full")
+    assert code == EXIT_OK
+    lines = out.strip().splitlines()
+    assert [json.loads(line)["verdict"] for line in lines[:-1]].count("partially-skipped") == 4
+    assert json.loads(lines[-1]) == {"summary": {"pass": 2, "mismatch": 0, "skipped": 4}}
+
+
 def test_enumerate_bad_bounds(capsys):
     code, _, err = run(capsys, "enumerate", "--a-max", "1", "--k1-max", "1", "--k2-max", "2")
     assert code == EXIT_USAGE and "bounds" in err
@@ -536,7 +547,7 @@ def test_exponent_not_divisible_by_4_exits_4(capsys, monkeypatch):
     code, out, err = run(capsys, "invariant", "TT(9,5,7,-1)", "jones")
     assert code == EXIT_INTERNAL
     assert out == "" and err.count("\n") == 1
-    assert err.startswith("error: internal error: corrected bracket exponent")
+    assert err == "error: internal error: corrected bracket exponent 1 not divisible by 4\n"
 
 
 @pytest.mark.parametrize("exc, message", [

@@ -32,6 +32,8 @@ def test_mul_examples():
     assert p * LaurentPoly.one() == p
     assert 3 * p == p * 3 == lp({-3: 6, 0: -3, 4: 21})
     assert p * 0 == LaurentPoly.zero()
+    for product in (LaurentPoly.zero() * p, p * LaurentPoly.zero()):
+        assert product == LaurentPoly.zero() and not product
 
 
 def test_mul_min_exponent_adds():
