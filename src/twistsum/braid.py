@@ -154,22 +154,25 @@ def _reduced_twisted_torus_braid(p: int, q: int, r: int, s: int) -> BraidWord:
     return BraidWord(r, _delta_power(r, q + r * s) + _D_power(q, p - r))
 
 
-def _is_twisted_torus_word(b: BraidWord) -> bool:
-    """True for a torus block on all n strands, then nothing, full twists on strands 1..r or D_m^j, r, m < n.
+def _twisted_torus_blocks(b: BraidWord) -> list[tuple[tuple[int, ...], int]] | None:
+    """The blocks ``[(period, count), ...]`` of a torus-shaped word, or None for any other word.
 
-    The torus block is d_n^q, its mirror (s1^-1 ... s_(n-1)^-1)^q or its
-    inverse d_n^(-q), q >= 1; the full twists are d_r^(rs) of either sign,
-    and j >= 1. These are the words ``torus_braid``, ``twisted_torus_braid``
-    and ``_reduced_twisted_torus_braid`` build, from the same blocks, and
-    ``kauffman_bracket`` takes the cell-module route for exactly them: on
-    random words that route steps more entries than the full transfer. The
-    inverse block and D_m^j were added for the reduced words; they moved none
-    of the 9,000 small-braids words of seeds 1, 2, 3, 21 and 81 to the module
-    route. Whole periods are matched from the start, the period picked by the
-    first letter (on 2 strands the mirror and the inverse period are both
-    (-1,)); what follows holds no letter n - 1, so it cannot extend them, and
-    must equal the twist block or the power of D_m its highest letter and
-    length imply.
+    A torus-shaped word is a torus block on all n strands, then nothing, full
+    twists on strands 1..r or D_m^j, r, m < n. The torus block is d_n^q, its
+    mirror (s1^-1 ... s_(n-1)^-1)^q or its inverse d_n^(-q), q >= 1; the full
+    twists are d_r^(rs) of either sign, and j >= 1. These are the words
+    ``torus_braid``, ``twisted_torus_braid`` and
+    ``_reduced_twisted_torus_braid`` build, from the same blocks, and
+    ``kauffman_bracket`` takes the cell-module route, one period at a time,
+    for exactly them: on random words that route steps more entries than the
+    full transfer. The inverse block and D_m^j were added for the reduced
+    words; they moved none of the 9,000 small-braids words of seeds 1, 2, 3,
+    21 and 81 to the module route. Whole periods are matched from the start,
+    the period picked by the first letter (on 2 strands the mirror and the
+    inverse period are both (-1,)); what follows holds no letter n - 1, so it
+    cannot extend them, and must equal the twist block or the power of D_m
+    its highest letter and length imply. The periods repeated ``count`` times
+    each and concatenated give the word back.
     """
     n, letters = b.strands, b.letters
     period = _delta_power(n, 1)
@@ -180,16 +183,23 @@ def _is_twisted_torus_word(b: BraidWord) -> bool:
     end = 0
     while period and letters[end:end + n - 1] == period:
         end += n - 1
+    if not end:
+        return None
+    blocks = [(period, end // (n - 1))]
     rest = letters[end:]
-    if not end or not rest:
-        return end > 0
+    if not rest:
+        return blocks
     m = max(map(abs, rest)) + 1  # r or m
     if m >= n:
-        return False
+        return None
+    twist = _delta_power(m, 1 if rest[0] > 0 else -1)
     turns, extra = divmod(len(rest), m * (m - 1))
-    if not extra and rest == _delta_power(m, m * turns if rest[0] > 0 else -m * turns):
-        return True
-    return rest == _D_power(m, len(rest) // (m - 1))
+    if not extra and rest == twist * (m * turns):
+        return blocks + [(twist, m * turns)]
+    count = len(rest) // (m - 1)
+    if rest == _D_power(m, count):
+        return blocks + [(_D_power(m, 1), count)]
+    return None
 
 
 def braid_permutation(b: BraidWord) -> tuple[int, ...]:

@@ -263,22 +263,40 @@ def _det_bareiss(rows: list[list[LaurentPoly]]) -> LaurentPoly:
     m = len(rows)
     if m == 0:
         return _ONE
+    # per row: its lowest exponent, its nonzero entries' terms, and the L1
+    # norm of the row, in one plain loop over the terms (this set-up runs
+    # once per determinant, and most entries hold one to three terms)
     row_terms = []
     bound = 1
     for row in rows:
-        items = [(j, p.items()) for j, p in enumerate(row) if p]
+        items = []
+        norm = 0
+        shift = None
+        for j, p in enumerate(row):
+            if p:
+                terms = p.items()
+                items.append((j, terms))
+                if shift is None or terms[0][0] < shift:
+                    shift = terms[0][0]
+                for _, c in terms:
+                    norm += abs(c)
         if not items:
             return _ZERO
-        bound *= sum(abs(c) for _, terms in items for _, c in terms)
-        row_terms.append((min(terms[0][0] for _, terms in items), items))
+        bound *= norm
+        row_terms.append((shift, items))
     width = bound.bit_length() + 2
     # A remaining row is a sparse {column: (value, tag)} map: each entry as
     # the step whose pivot was ``tag`` stored it (None: never updated).
     # Remaining rows keep their original relative order.
-    active = [
-        {j: (sum(c << (e - shift) * width for e, c in terms), None) for j, terms in items}
-        for shift, items in row_terms
-    ]
+    active = []
+    for shift, items in row_terms:
+        entries = {}
+        for j, terms in items:
+            value = 0
+            for e, c in terms:
+                value += c << (e - shift) * width
+            entries[j] = (value, None)
+        active.append(entries)
     sign = 1
     prev = None
     for k in range(m):

@@ -3,8 +3,10 @@
 Two routes compute the bracket: a transfer over all diagrams from the
 identity, and a sum of traces on the cell modules. Both compute
 delta <closure(b)> as a weighted sum of diagonal entries, through one kind of
-table, one kernel (``_step``) and one closing path (``_bracket``); they differ
-in their tables, their start states, their letter order and their weights.
+table, one letter kernel (``_step``) and one closing path (``_bracket``);
+they differ in their tables, their start states, their letter order and
+their weights. The module route steps a torus-shaped word one period at a
+time, through block rows that ``_step`` builds.
 
 Diagrams. A planar (Temperley-Lieb) diagram on n strands is a perfect
 noncrossing matching of 2n boundary points. The points are numbered in a
@@ -42,11 +44,13 @@ complete when ``_modules`` returns them. Both are kept for later words, so a
 letter step is a list lookup instead of a tuple rewrite and a hash. Nothing
 is built at import time. A stepped state maps ids to packed coefficients,
 so on both routes its keys are plain diagram or link state ids. Both routes
-run through the same functions: ``_run`` steps one start through the word,
-``_transfer`` decodes its stepped state per diagram or link state (the
-selftest and the tests check the algebra's relations through it),
-``_closed`` sums the closing terms with their weights, and ``_bracket`` runs
-every start, divides the closed sum by delta and decodes it.
+run through the same functions: ``_run`` steps one start through a word
+letter by letter (``_run_blocks`` one period at a time, on the module
+route's torus-shaped words), ``_transfer`` decodes its stepped state per
+diagram or link state (the selftest and the tests check the algebra's
+relations through it), ``_closed`` sums the closing terms with their
+weights, and ``_bracket`` runs every start, divides the closed sum by delta
+and decodes it.
 ``_reachable`` walks the tables from the starts, filling them as the kernel
 does: ``_modules`` builds the modules with it, and the selftest counts the
 Catalan basis with it.
@@ -99,8 +103,9 @@ steps 1,696,628 and a rotation to the longest run that avoids the highest
 generator 1,574,671. Rotation included, it took 0.470-0.476 s, against
 0.478-0.484 s for each of the other two (sum over the words of the best of
 6 runs, two rounds, one 2-core host). The module route steps the word as
-written: rotated by this rule, the reduced word of (a, k1, k2) = (1,2,5)
-steps 3.35 million entries there instead of 1.17 million.
+written, in the blocks it was built from. Letter by letter, rotated by this
+rule, the reduced word of (a, k1, k2) = (1,2,5) steps 3.35 million entries
+there instead of 1.17 million.
 
 Cell modules. A link state on n points pairs some points by noncrossing arcs
 and leaves k of them as defects, with no arc passing over a defect. The link
@@ -155,13 +160,35 @@ divided exactly by 1 + 2^W, the packed 1 + x of delta = -A^(-2)(1 + x), and
 decoded once. In the full transfer every weight is a multiple of delta, so
 there the division always leaves no remainder.
 
+Block steps. A torus-shaped word is a few periods, each repeated: d_n, its
+mirror or its inverse, d_r^(+-1) in full twists, or D_m, with
+d_m = s1 ... s_(m-1) and D_m = s_(m-1) ... s1 (``_twisted_torus_blocks``
+in ``braid.py`` reads them, and returns None for any other word). For each
+distinct period ``_bracket`` builds one row per link state: the state with
+coefficient 1 stepped through the period's letters by ``_run``, at the
+whole word's width W, kept as its terms (target, base, packed). Each start
+is then stepped one period at a time by ``_block_step``: an entry
+A^b P(x) at state s and a term A^c R(x) of the row of s add
+A^(b + c) (P R)(x) at the term's target, merged as ``_step`` merges.
+Evaluation at x = 2^W is a ring homomorphism, so the packed product of
+P(2^W) and R(2^W) is (P R)(2^W), and a block step reaches the state that
+letterwise stepping reaches, with the same integer polynomial in every
+entry: it sums the same smoothing paths, grouped by the link states they
+pass at the period boundaries. The rows are built per call from the
+cached module tables and dropped with it; building them steps one period
+per link state, and the full transfer, ``_transfer`` and the relation checks
+keep stepping letter by letter.
+
 Memory in the modules. A cup-cap never changes the number of defects of a
 link state, so no table entry leaves its module, and the stepped state of a
 start in W_k holds at most dim W_k entries, whatever the word: at most
 max_k dim W_k, which is 165 at 11 strands, 572 at 13 and 2,002 at 15. The
 bound rests on the tables being right: ``_modules`` checks that no entry
 leaves its module when it builds them, at every strand count, and raises
-InternalInvariantViolation if one does.
+InternalInvariantViolation if one does. A block row is a stepped state too,
+so a row of a state of W_k holds at most dim W_k terms, and the rows of a
+word's periods, held for one call, add at most that many terms per link
+state and period.
 
 Exponents mod 4 in the modules. Over Z[delta] the algebra is graded mod 2 with
 every E_j and delta odd: its defining relations E_j^2 = delta E_j,
@@ -180,7 +207,11 @@ weighted terms meet on one base. An exponent gap that is not a multiple of
 InternalInvariantViolation; ``_closed`` holds the one gap check for both
 routes.
 
-Width in the modules. The routes use the same W. An entry of one start's
+Width in the modules. The routes use the same W, and so do block steps: a
+block step computes the same integer polynomial entries as letterwise
+stepping, so the bound below holds for them and the same W decodes them.
+The packed row terms and products are exact whatever their digits; only
+the final decoding needs the bound. An entry of one start's
 state sums, over the subsets of smoothed letters that lead to it, one term
 +-A^e delta^l with l at most the number of smoothed letters, so its
 coefficients sum to at most sum_m C(L, m) 2^m = 3^L in absolute value. A
@@ -193,24 +224,28 @@ the bound above.
 Why both routes. The two routes share every function but their table
 constructors, and differ most in where they start. The module route steps
 each of the C(n, floor(n/2)) link states, where the full transfer steps the
-identity alone, and random words fill their states: on the 1,800 words of
-the small-braids benchmark (seed 1) it steps 1,440,600 entries against
-535,538 and takes about 2.7 times as long. On torus and twisted torus words
-it stays sparse: on the torus words of jones-9 (T(9,10), T(8,9), T(8,11)) it
-steps 35,886, 12,221 and 15,113 entries where the full transfer steps
-288,043, 66,857 and 86,877. Its tables hold the C(n, floor(n/2)) link
-states (1,716 at n = 13), where the full transfer interns every diagram it
-reaches, up to C(n) (742,900 at n = 13). The Jones polynomial of a ``TT``
-node with q < r runs on the shorter r-strand word d_r^(q + rs) D_q^(p - r)
-that ``_reduced_twisted_torus_braid`` builds, with d_m = s1 ... s_(m-1) and
-D_m = s_(m-1) ... s1. The module route steps 1,985 entries of that word for
-TT(9,5,7,-1), the fourth jones-9 word, 7 strands and 20 letters, where the
-full transfer steps 2,155, and both take 1-3 ms on their first run; on the
-11 strands of (a, k1, k2) = (2,2,2) it steps 105,489 against 366,268 and
-takes 0.03 s against 0.15-0.46 s, the higher figure while the tables fill.
-So ``kauffman_bracket`` takes the module route for exactly the torus-shaped
-words that ``_is_twisted_torus_word`` in ``braid.py`` accepts, the words
-that module builds, and the full transfer for every other word.
+identity alone, and random words fill their states: letter by letter on
+the 1,800 words of the small-braids benchmark (seed 1) it steps 1,440,600
+entries against 535,538 and takes about 2.7 times as long. On torus and
+twisted torus words it stays sparse: on the torus words of jones-9
+(T(9,10), T(8,9), T(8,11)) its block steps take 6,638, 2,522 and 3,135 row
+terms, after 2,152, 941 and 941 letter-step entries to build the rows
+(letter by letter it stepped 35,886, 12,221 and 15,113 entries), where the
+full transfer steps 288,043, 66,857 and 86,877. Its tables hold the
+C(n, floor(n/2)) link states (1,716 at n = 13), where the full transfer
+interns every diagram it reaches, up to C(n) (742,900 at n = 13). The Jones
+polynomial of a ``TT`` node with q < r runs on the shorter r-strand word
+d_r^(q + rs) D_q^(p - r) that ``_reduced_twisted_torus_braid`` builds. For
+TT(9,5,7,-1), the fourth jones-9 word, 7 strands and 20 letters, the
+module route takes 804 row terms and 624 row-building entries (1,985
+entries letter by letter), where the full transfer steps 2,155, and both
+take 1-3 ms on their first run; on the 11 strands of (a, k1, k2) = (2,2,2)
+it takes 25,572 and 22,244 (105,489 letter by letter) against 366,268, and
+0.03-0.05 s against 0.15-0.46 s, the higher figures while the tables fill.
+So ``kauffman_bracket`` takes the module route, by blocks, for exactly the
+torus-shaped words that ``_twisted_torus_blocks`` in ``braid.py`` splits
+into blocks, the words that module builds, and the full transfer for every
+other word.
 
 The Jones polynomial is the writhe correction (-A^3)^(-writhe) times the
 bracket, re-expressed in t = A^{-4}. For a knot every exponent of the
@@ -232,7 +267,7 @@ import math
 import sys
 import threading
 
-from .braid import BraidWord, _is_twisted_torus_word, is_knot_closure, writhe
+from .braid import BraidWord, _twisted_torus_blocks, is_knot_closure, writhe
 from .errors import (
     ExponentNotDivisibleBy4,
     InternalInvariantViolation,
@@ -452,17 +487,70 @@ def _step(state: dict, letter: int, tables: _Tables, width: int) -> dict:
     return out
 
 
-def _run(tables: _Tables, start: int, letters: tuple[int, ...]) -> tuple[dict, int]:
-    """The diagram or link state ``start`` with coefficient 1, stepped through ``letters``.
+def _width(letters: int, strands: int) -> int:
+    """The slot width W = bit_length(3^L) + n + 1 of a word of L letters on n strands.
 
-    Returns the packed state and the width W = bit_length(3^L) + n + 1 it was
-    stepped at; the width bound holds for the state before closure too.
+    The width bound holds for every stepped state before closure too.
     """
-    width = (3 ** len(letters)).bit_length() + tables.strands + 1
+    return (3 ** letters).bit_length() + strands + 1
+
+
+def _run(tables: _Tables, start: int, letters: tuple[int, ...], width: int) -> dict:
+    """The diagram or link state ``start`` with coefficient 1, stepped letter by letter through ``letters``."""
     state = {start: (0, 1)}
     for letter in letters:
         state = _step(state, letter, tables, width)
-    return state, width
+    return state
+
+
+def _block_rows(tables: _Tables, period: tuple[int, ...], width: int) -> list[list[tuple[int, int, int]]]:
+    """Per start id, the start stepped through ``period`` by ``_run``, as its terms ``(target, base, packed)``."""
+    return [[(t, base, packed) for t, (base, packed) in _run(tables, s, period, width).items()] for s in tables.starts]
+
+
+def _block_step(state: dict, rows: list[list[tuple[int, int, int]]], width: int) -> dict:
+    """One period of the word on packed coefficients: each entry times its block row, merged as ``_step`` merges.
+
+    An entry A^base P(x) of state s and a row term A^row_base R(x) of s give
+    A^(base + row_base) (P R)(x) at the row's target, and evaluation at
+    x = 2^W is a ring homomorphism, so the packed product is ``P * R``.
+    """
+    out: dict = {}
+    get = out.get
+    for s, (base, packed) in state.items():
+        for target, row_base, row_packed in rows[s]:
+            new_base = base + row_base
+            new = packed * row_packed
+            cur = get(target)
+            if cur is None:
+                out[target] = (new_base, new)
+                continue
+            cur_base, cur_packed = cur
+            if cur_base == new_base:
+                new += cur_packed
+            elif cur_base < new_base:
+                new = cur_packed + (new << ((new_base - cur_base) >> 2) * width)
+                new_base = cur_base
+            else:
+                new += cur_packed << ((cur_base - new_base) >> 2) * width
+            if new:
+                out[target] = (new_base, new)
+            else:
+                del out[target]
+    return out
+
+
+def _run_blocks(rows: dict, start: int, blocks: list[tuple[tuple[int, ...], int]], width: int) -> dict:
+    """The link state ``start`` with coefficient 1, stepped through ``count`` periods of each block in turn.
+
+    ``rows`` maps each block's period to its ``_block_rows``.
+    """
+    state = {start: (0, 1)}
+    for period, count in blocks:
+        period_rows = rows[period]
+        for _ in range(count):
+            state = _block_step(state, period_rows, width)
+    return state
 
 
 def _transfer(tables: _Tables, s: int, letters: tuple[int, ...]) -> dict[int, LaurentPoly]:
@@ -471,11 +559,11 @@ def _transfer(tables: _Tables, s: int, letters: tuple[int, ...]) -> dict[int, La
     The selftest and the tests check the relations of the algebra through
     this function, so they are checked on the kernel the bracket runs.
     """
-    state, width = _run(tables, s, letters)
+    width = _width(len(letters), tables.strands)
     offset = sum(1 if letter > 0 else -1 for letter in letters)
     return {
         d: _wrap(_unpack(base + offset, packed, width, 4))
-        for d, (base, packed) in state.items()
+        for d, (base, packed) in _run(tables, s, letters, width).items()
     }
 
 
@@ -531,7 +619,7 @@ def _closed(terms: list[tuple[int, int, int]], weights: list[int], width: int) -
     return low, sum(weights[g] * total for g, total in sums.items())
 
 
-def _bracket(b: BraidWord, tables: _Tables) -> LaurentPoly:
+def _bracket(b: BraidWord, tables: _Tables, blocks: list[tuple[tuple[int, ...], int]] | None = None) -> LaurentPoly:
     """The bracket from the diagonal entries of every start stepped through the word, divided by delta.
 
     delta <closure(b)> is the weighted sum of the diagonal entries. With one
@@ -539,16 +627,25 @@ def _bracket(b: BraidWord, tables: _Tables) -> LaurentPoly:
     has m loops weighs delta^m. The cell modules, with more starts, step the
     word as written once per start, keep only the start's own entry and weigh
     the diagonal of W_k by Delta_k. On one strand both tables hold one state
-    that weighs delta.
+    that weighs delta. With ``blocks``, the word's ``_twisted_torus_blocks``,
+    the cell modules (and only they, as every link state starts) step it one
+    period at a time through block rows built for this call; without, every
+    start is stepped letter by letter.
     """
     trace = len(tables.starts) > 1
-    # the full transfer steps a rotation of the word, with the same closure,
-    # to keep its state small for longer; the modules step it as written
-    letters = b.letters if trace else _rotated(b.letters)
+    width = _width(len(b.letters), b.strands)
+    if blocks is None:
+        # the full transfer steps a rotation of the word, with the same
+        # closure, to keep its state small for longer; the modules step it
+        # as written
+        letters = b.letters if trace else _rotated(b.letters)
+        states = (_run(tables, s, letters, width) for s in tables.starts)
+    else:
+        rows = {period: _block_rows(tables, period, width) for period, _ in blocks}
+        states = (_run_blocks(rows, s, blocks, width) for s in tables.starts)
     group = tables.group
     diagonal = []
-    for s in tables.starts:
-        state, width = _run(tables, s, letters)
+    for s, state in zip(tables.starts, states):
         if not trace:
             diagonal.extend((group[d], base, packed) for d, (base, packed) in state.items())
         elif s in state:
@@ -571,7 +668,10 @@ def _bracket(b: BraidWord, tables: _Tables) -> LaurentPoly:
 def kauffman_bracket(b: BraidWord, threshold: int | None = None) -> LaurentPoly:
     """Kauffman bracket of the braid closure (a Laurent polynomial in A)."""
     _check_strands(b.strands, threshold)
-    return _bracket(b, _modules(b.strands) if _is_twisted_torus_word(b) else _diagrams(b.strands))
+    blocks = _twisted_torus_blocks(b)
+    if blocks is None:
+        return _bracket(b, _diagrams(b.strands))
+    return _bracket(b, _modules(b.strands), blocks)
 
 
 def jones_from_braid(b: BraidWord, threshold: int | None = None) -> LaurentPoly:

@@ -20,7 +20,7 @@ from twistsum import (
     kauffman_bracket,
     twisted_torus_braid,
 )
-from twistsum.braid import _is_twisted_torus_word, _reduced_twisted_torus_braid
+from twistsum.braid import _reduced_twisted_torus_braid, _twisted_torus_blocks
 from twistsum.temperley_lieb import _bracket, _diagrams, _modules
 
 KINK = LaurentPoly({3: -1})  # -A^3, the bracket factor of one positive destabilization
@@ -52,7 +52,7 @@ def test_reduced_word_shape():
         p, q, r, s = _params(fp)
         reduced = _reduced_twisted_torus_braid(p, q, r, s)
         assert (reduced.strands, len(reduced)) == (r, fp.k2 * (r - 1) + fp.k1 * (q - 1)), fp
-        assert _is_twisted_torus_word(reduced), fp
+        assert _twisted_torus_blocks(reduced) is not None, fp
 
 
 @pytest.mark.parametrize("fp", [fp for fp in family_enumerate(3, 4, 4) if family_instantiate(fp).p <= 11],

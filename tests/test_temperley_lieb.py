@@ -10,6 +10,7 @@ import pytest
 from conftest import DELTA, bracket_from_pd, enumerate_pairings, fresh_tables, random_knot_word, random_word
 from twistsum import (
     BraidWord,
+    FamilyParams,
     InternalInvariantViolation,
     LaurentPoly,
     NotAKnot,
@@ -17,6 +18,8 @@ from twistsum import (
     braid_connected_sum,
     braid_mirror,
     closure_pd_code,
+    family_enumerate,
+    family_instantiate,
     jones_from_braid,
     kauffman_bracket,
     torus_braid,
@@ -24,7 +27,7 @@ from twistsum import (
     twisted_torus_braid,
 )
 from twistsum import temperley_lieb
-from twistsum.braid import _delta_power, _is_twisted_torus_word, _reduced_twisted_torus_braid
+from twistsum.braid import _delta_power, _reduced_twisted_torus_braid, _twisted_torus_blocks
 from twistsum.temperley_lieb import (
     _basis_size,
     _bracket,
@@ -417,8 +420,26 @@ def _torus_grid():
 
 def test_module_route_matches_the_full_transfer_on_the_torus_grid():
     for w in _torus_grid():
-        assert _is_twisted_torus_word(w)
-        assert _bracket(w, _modules(w.strands)) == _bracket(w, _diagrams(w.strands)), w
+        blocks = _twisted_torus_blocks(w)
+        expected = _bracket(w, _diagrams(w.strands))
+        # the block kernel and letterwise stepping on the same module tables
+        assert _bracket(w, _modules(w.strands), blocks) == _bracket(w, _modules(w.strands)) == expected, w
+
+
+def test_block_and_letterwise_module_brackets_agree_on_the_reduced_family_words():
+    # the reduced word of every tier-1 family member with at most 13 strands,
+    # the most a tier-1 Jones computation runs on
+    members = list(family_enumerate(3, 4, 4)) + [FamilyParams(1, 5, 2)]
+    words = []
+    for fp in members:
+        inst = family_instantiate(fp)
+        words.append(_reduced_twisted_torus_braid(inst.p, inst.q, inst.r, inst.s))
+    words = [w for w in words if w.strands <= 13]
+    assert len(words) == 12
+    for w in words:
+        blocks = _twisted_torus_blocks(w)
+        assert len(blocks) == 2, w
+        assert _bracket(w, _modules(w.strands), blocks) == _bracket(w, _modules(w.strands)), w
 
 
 def test_module_route_matches_the_full_transfer_and_the_pd_oracle_on_random_words():
@@ -455,7 +476,28 @@ def test_no_small_braids_word_changes_route():
     # word keeps the route it took before, where the full transfer steps fewer
     # entries
     words = list(_small_braids_words(1))
-    assert [w for w in words if _is_twisted_torus_word(w) != _shape_oracle(w, reduced=False)] == []
+    assert [w for w in words if (_twisted_torus_blocks(w) is not None) != _shape_oracle(w, reduced=False)] == []
+
+
+def _letters(blocks):
+    return tuple(letter for period, count in blocks for _ in range(count) for letter in period)
+
+
+def test_the_blocks_give_back_the_word():
+    rng = random.Random(33)
+    for w in _torus_grid():
+        assert _letters(_twisted_torus_blocks(w)) == w.letters, w
+        # the accepted one-letter changes too
+        for i in range(len(w.letters)):
+            letter = rng.choice([s * g for s in (1, -1) for g in range(1, w.strands) if s * g != w.letters[i]])
+            blocks = _twisted_torus_blocks(BraidWord(w.strands, w.letters[:i] + (letter,) + w.letters[i + 1:]))
+            assert blocks is None or _letters(blocks) == w.letters[:i] + (letter,) + w.letters[i + 1:], w
+    # one period per block: d_7^(-2) D_5^2, d_9^5 d_7^(-7) and T(2,-3)
+    assert _twisted_torus_blocks(_reduced_twisted_torus_braid(9, 5, 7, -1)) == [((-6, -5, -4, -3, -2, -1), 2),
+                                                                                ((4, 3, 2, 1), 2)]
+    assert _twisted_torus_blocks(twisted_torus_braid(9, 5, 7, -1)) == [(tuple(range(1, 9)), 5),
+                                                                       (tuple(range(-6, 0)), 7)]
+    assert _twisted_torus_blocks(torus_braid(2, -3)) == [((-1,), 3)]
 
 
 def test_shape_check_accepts_the_family_words_and_rejects_near_misses():
@@ -468,7 +510,7 @@ def test_shape_check_accepts_the_family_words_and_rejects_near_misses():
             i = rng.randrange(len(w.letters))
             letter = rng.choice([s * g for s in (1, -1) for g in range(1, w.strands) if s * g != w.letters[i]])
             changed = BraidWord(w.strands, w.letters[:i] + (letter,) + w.letters[i + 1:])
-            assert _is_twisted_torus_word(changed) == _shape_oracle(changed), changed
+            assert (_twisted_torus_blocks(changed) is not None) == _shape_oracle(changed), changed
     near_misses = [
         BraidWord(5, (1, 2, 3, 4, 1, 2, 4, 4)),  # one letter changed
         BraidWord(5, (2, 3, 4, 1) * 3),  # the run starts at sigma_2
@@ -483,10 +525,10 @@ def test_shape_check_accepts_the_family_words_and_rejects_near_misses():
         BraidWord(4, ()),
     ]
     for w in near_misses:
-        assert not _is_twisted_torus_word(w) and not _shape_oracle(w), w
+        assert _twisted_torus_blocks(w) is None and not _shape_oracle(w), w
     for w in (twisted_torus_braid(9, 5, 7, -1), torus_braid(9, 10), torus_braid(8, -11),
               _reduced_twisted_torus_braid(9, 5, 7, -1), _reduced_twisted_torus_braid(19, 13, 15, -1)):
-        assert _is_twisted_torus_word(w)
+        assert _twisted_torus_blocks(w) is not None
 
 
 def test_a_twisted_torus_bracket_takes_the_module_route(monkeypatch):
@@ -503,7 +545,8 @@ def test_a_twisted_torus_bracket_takes_the_module_route(monkeypatch):
     assert cache.cache_info().currsize == 1
 
 
-# Each start is stepped by its own _run call. Key 0 is in the stepped state
+# Each start is stepped by its own kernel call: _run_blocks on the module
+# route, _run on the full transfer. Key 0 is in the stepped state
 # of start 0 on both routes. On the module route it is the all-defect state
 # of W_n, a diagonal entry of every word; with n even, Delta_n(0) = +-1, so a
 # changed trace leaves a remainder. On the full transfer it is the identity
@@ -520,42 +563,86 @@ def test_a_twisted_torus_bracket_takes_the_module_route(monkeypatch):
 ], ids=["exponent-off-by-2", "trace-off-by-1", "full-transfer-exponent-off-by-2", "w0-start-trace-off-by-1"])
 def test_a_corrupted_module_trace_raises(monkeypatch, word, w0, corrupt):
     n = word.strands
-    tables = temperley_lieb._modules(n) if _is_twisted_torus_word(word) else temperley_lieb._diagrams(n)
+    blocks = _twisted_torus_blocks(word)
+    tables = temperley_lieb._modules(n) if blocks is not None else temperley_lieb._diagrams(n)
     target = tables.group.index(0) if w0 else 0
-    real_run = temperley_lieb._run
-    runs = []
+    kernel = "_run" if blocks is None else "_run_blocks"
+    real_run = getattr(temperley_lieb, kernel)
+    real_rows = temperley_lieb._block_rows
+    runs, row_tables = [], []
 
-    def corrupted(run_tables, start, letters):
-        runs.append((run_tables, start, letters))
-        state, width = real_run(run_tables, start, letters)
+    def corrupted(source, start, steps, width):
+        runs.append((source, start, steps))
+        state = real_run(source, start, steps, width)
         if start == target:
             state[target] = corrupt(*state.get(target, (0, 0)))
-        return state, width
+        return state
 
-    monkeypatch.setattr(temperley_lieb, "_run", corrupted)
+    def rows(row_source, period, width):
+        row_tables.append(row_source)
+        return real_rows(row_source, period, width)
+
+    monkeypatch.setattr(temperley_lieb, kernel, corrupted)
+    monkeypatch.setattr(temperley_lieb, "_block_rows", rows)
     with pytest.raises(InternalInvariantViolation):
         kauffman_bracket(word)
-    assert all(run_tables is tables for run_tables, _, _ in runs)
     assert [start for _, start, _ in runs] == list(tables.starts)
-    # the module route steps the word as written, the full transfer its rotation
-    letters = word.letters if _is_twisted_torus_word(word) else _rotated(word.letters)
-    assert all(run_letters == letters for _, _, run_letters in runs)
+    if blocks is None:  # the full transfer steps the rotation of the word
+        assert row_tables == []
+        assert all(source is tables and steps == _rotated(word.letters) for source, _, steps in runs)
+    else:  # the modules step the word as written, one period at a time
+        assert row_tables == [tables]
+        assert all(steps == blocks and list(source) == [period for period, _ in blocks] for source, _, steps in runs)
 
 
 def test_a_module_route_state_stays_within_one_cell_module(monkeypatch):
     # Each start is stepped alone and no entry leaves its module, so no
-    # stepped state holds more than max_k dim W_k entries, 165 at 11 strands.
-    real_step = temperley_lieb._step
-    sizes = []
+    # stepped state holds more than max_k dim W_k entries, 165 at 11 strands:
+    # neither a block step nor a letter step of a block row.
+    sizes = {"_block_step": [], "_step": []}
+    for kernel, recorded in sizes.items():
+        def recording(*args, real=getattr(temperley_lieb, kernel), recorded=recorded):
+            out = real(*args)
+            recorded.append(len(out))
+            return out
 
-    def recorded(state, letter, tables, width):
-        out = real_step(state, letter, tables, width)
-        sizes.append(len(out))
-        return out
-
-    monkeypatch.setattr(temperley_lieb, "_step", recorded)
+        monkeypatch.setattr(temperley_lieb, kernel, recording)
     jones_from_braid(twisted_torus_braid(11, 6, 8, -1))  # the (a, k1, k2) = (1, 3, 2) member
     defects = _modules(11).group
     bound = max(defects.count(k) for k in range(11, -1, -2))
     assert bound == 165
-    assert sizes and max(sizes) <= bound
+    assert all(recorded and max(recorded) <= bound for recorded in sizes.values()), sizes
+
+
+# A block row changed in one entry changes the diagonal of every start whose
+# paths pass through that entry; the bracket then leaves a remainder, meets
+# an exponent gap that is not a multiple of 4, or comes out different. The
+# entry changed is a state's own term in its row, which the all-straight
+# smoothing reaches, so at least the start at that state passes through it.
+# Not every entry of a short word is on such a path: for the reduced
+# TT(9,5,7,-1), changing the last term of each period's longest row changes
+# no diagonal.
+@pytest.mark.parametrize("corrupt", [
+    lambda target, base, packed: (target, base + 2, packed),
+    lambda target, base, packed: (target, base, packed + 1),
+    lambda target, base, packed: (target, base, -packed),
+], ids=["row-exponent-off-by-2", "row-coefficient-off-by-1", "row-sign-flipped"])
+@pytest.mark.parametrize("word", [torus_braid(4, 3), _reduced_twisted_torus_braid(9, 5, 7, -1)],
+                         ids=["T(4,3)", "TT(9,5,7,-1)-reduced"])
+def test_a_corrupted_block_row_raises_or_changes_the_bracket(monkeypatch, word, corrupt):
+    expected = kauffman_bracket(word)
+    real_rows = temperley_lieb._block_rows
+
+    def corrupted(tables, period, width):
+        rows = real_rows(tables, period, width)
+        d = max(range(len(rows)), key=lambda d: len(rows[d]))  # a state the period leaves several terms in
+        own = [target for target, _, _ in rows[d]].index(d)
+        rows[d][own] = corrupt(*rows[d][own])
+        return rows
+
+    monkeypatch.setattr(temperley_lieb, "_block_rows", corrupted)
+    try:
+        got = kauffman_bracket(word)
+    except InternalInvariantViolation:
+        return
+    assert got != expected
