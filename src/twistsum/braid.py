@@ -22,7 +22,7 @@ crossing counterclockwise starting from the incoming under-strand edge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import EmptyDiagram, NotAKnot
 
@@ -31,10 +31,17 @@ Crossing = tuple[int, int, int, int]
 
 @dataclass(frozen=True)
 class BraidWord:
-    """A braid group element given as a word in the Artin generators."""
+    """A braid group element given as a word in the Artin generators.
+
+    ``_blocks`` is None for a word given by its letters. The builders below
+    set it to the blocks ``[(period, count), ...]`` the letters were made
+    from, and ``kauffman_bracket`` steps those blocks one period at a time. It
+    takes no part in equality, hashing or ``repr``.
+    """
 
     strands: int
     letters: tuple[int, ...] = ()
+    _blocks: list[tuple[tuple[int, ...], int]] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.strands < 1:
@@ -71,6 +78,22 @@ class TwistedTorusParams:
             raise ValueError(f"requires gcd(p, q) = 1: got p={self.p}, q={self.q}")
 
 
+def _from_blocks(strands: int, blocks: list[tuple[tuple[int, ...], int]]) -> BraidWord:
+    """The word of each period repeated ``count`` times in turn, with those blocks attached.
+
+    Empty periods and zero counts are dropped first; a word with no block
+    left gets None, as a word given by its letters does. Each period is
+    repeated by ``*``, so a count too large to index with raises at once.
+    """
+    blocks = [(period, count) for period, count in blocks if period and count]
+    letters: tuple[int, ...] = ()
+    for period, count in blocks:
+        letters += period * count
+    word = BraidWord(strands, letters)
+    object.__setattr__(word, "_blocks", blocks or None)
+    return word
+
+
 def torus_braid(p: int, q: int) -> BraidWord:
     """The standard p-strand presentation (s1 ... s_{p-1})^q of the (p, q) torus link.
 
@@ -80,30 +103,27 @@ def torus_braid(p: int, q: int) -> BraidWord:
     """
     if p < 1:
         raise ValueError(f"requires p >= 1: got p={p}")
-    # p = 1 is the unknot for any q, even one too large to repeat a sequence by
-    word = _delta_power(p, abs(q)) if p > 1 else ()
-    return BraidWord(p, word if q >= 0 else tuple(-l for l in word))
+    period = tuple(range(1, p))
+    return _from_blocks(p, [(period if q >= 0 else tuple(-l for l in period), abs(q))])
 
 
-def _delta_power(m: int, k: int) -> tuple[int, ...]:
-    """d_m^k with d_m = s1 ... s_(m-1); for k < 0 in the inverse form, d_m^(-1) = s_(m-1)^-1 ... s1^-1.
+def _delta_power(m: int, k: int) -> tuple[tuple[int, ...], int]:
+    """The block of d_m^k with d_m = s1 ... s_(m-1); for k < 0 in the inverse form, d_m^(-1) = s_(m-1)^-1 ... s1^-1.
 
-    s full twists on strands 1..m are d_m^(ms). The period is repeated by
-    ``*``, so a k too large to index with raises at once.
+    s full twists on strands 1..m are d_m^(ms).
     """
-    period = tuple(range(1, m)) if k >= 0 else tuple(range(1 - m, 0))
-    return period * abs(k)
+    return (tuple(range(1, m)) if k >= 0 else tuple(range(1 - m, 0))), abs(k)
 
 
-def _D_power(m: int, j: int) -> tuple[int, ...]:
-    """D_m^j with D_m = s_(m-1) ... s1, j >= 0."""
-    return tuple(range(m - 1, 0, -1)) * j
+def _D_power(m: int, j: int) -> tuple[tuple[int, ...], int]:
+    """The block of D_m^j with D_m = s_(m-1) ... s1, j >= 0."""
+    return tuple(range(m - 1, 0, -1)), j
 
 
 def twisted_torus_braid(p: int, q: int, r: int, s: int) -> BraidWord:
     """Torus braid for (p, q) followed by s full twists on strand positions 1..r."""
     TwistedTorusParams(p, q, r, s)  # validates; q > 0, so the torus part is positive
-    return BraidWord(p, _delta_power(p, q) + _delta_power(r, r * s))
+    return _from_blocks(p, [_delta_power(p, q), _delta_power(r, r * s)])
 
 
 def _reduced_twisted_torus_braid(p: int, q: int, r: int, s: int) -> BraidWord:
@@ -146,60 +166,13 @@ def _reduced_twisted_torus_braid(p: int, q: int, r: int, s: int) -> BraidWord:
     on r strands. The full twist block is ``_delta_power(r, r * s)``, which
     is (d_r^r)^s letter for letter, so d_r^q (d_r^r)^s reduces freely to
     d_r^(q + rs). Its exponent is never 0: it is q for s = 0, and
-    |rs| >= r > q otherwise.
+    |rs| >= r > q otherwise. The word carries the blocks d_r^(q + rs) and
+    D_q^(p - r), or only the first for q = 1, where D_1 is empty.
     """
     TwistedTorusParams(p, q, r, s)
     if q >= r:
         return twisted_torus_braid(p, q, r, s)
-    return BraidWord(r, _delta_power(r, q + r * s) + _D_power(q, p - r))
-
-
-def _twisted_torus_blocks(b: BraidWord) -> list[tuple[tuple[int, ...], int]] | None:
-    """The blocks ``[(period, count), ...]`` of a torus-shaped word, or None for any other word.
-
-    A torus-shaped word is a torus block on all n strands, then nothing, full
-    twists on strands 1..r or D_m^j, r, m < n. The torus block is d_n^q, its
-    mirror (s1^-1 ... s_(n-1)^-1)^q or its inverse d_n^(-q), q >= 1; the full
-    twists are d_r^(rs) of either sign, and j >= 1. These are the words
-    ``torus_braid``, ``twisted_torus_braid`` and
-    ``_reduced_twisted_torus_braid`` build, from the same blocks, and
-    ``kauffman_bracket`` takes the cell-module route, one period at a time,
-    for exactly them: on random words that route steps more entries than the
-    full transfer. The inverse block and D_m^j were added for the reduced
-    words; they moved none of the 9,000 small-braids words of seeds 1, 2, 3,
-    21 and 81 to the module route. Whole periods are matched from the start,
-    the period picked by the first letter (on 2 strands the mirror and the
-    inverse period are both (-1,)); what follows holds no letter n - 1, so it
-    cannot extend them, and must equal the twist block or the power of D_m
-    its highest letter and length imply. The periods repeated ``count`` times
-    each and concatenated give the word back.
-    """
-    n, letters = b.strands, b.letters
-    period = _delta_power(n, 1)
-    if letters[:1] == (-1,):
-        period = tuple(-l for l in period)
-    elif letters[:1] == (1 - n,):
-        period = _delta_power(n, -1)
-    end = 0
-    while period and letters[end:end + n - 1] == period:
-        end += n - 1
-    if not end:
-        return None
-    blocks = [(period, end // (n - 1))]
-    rest = letters[end:]
-    if not rest:
-        return blocks
-    m = max(map(abs, rest)) + 1  # r or m
-    if m >= n:
-        return None
-    twist = _delta_power(m, 1 if rest[0] > 0 else -1)
-    turns, extra = divmod(len(rest), m * (m - 1))
-    if not extra and rest == twist * (m * turns):
-        return blocks + [(twist, m * turns)]
-    count = len(rest) // (m - 1)
-    if rest == _D_power(m, count):
-        return blocks + [(_D_power(m, 1), count)]
-    return None
+    return _from_blocks(r, [_delta_power(r, q + r * s), _D_power(q, p - r)])
 
 
 def braid_permutation(b: BraidWord) -> tuple[int, ...]:

@@ -5,8 +5,8 @@ identity, and a sum of traces on the cell modules. Both compute
 delta <closure(b)> as a weighted sum of diagonal entries, through one kind of
 table, one letter kernel (``_step``) and one closing path (``_bracket``);
 they differ in their tables, their start states, their letter order and
-their weights. The module route steps a torus-shaped word one period at a
-time, through block rows that ``_step`` builds.
+their weights. The module route steps a word one period at a time, through
+block rows that ``_step`` builds, from the blocks its builder attached.
 
 Diagrams. A planar (Temperley-Lieb) diagram on n strands is a perfect
 noncrossing matching of 2n boundary points. The points are numbered in a
@@ -45,8 +45,8 @@ letter step is a list lookup instead of a tuple rewrite and a hash. Nothing
 is built at import time. A stepped state maps ids to packed coefficients,
 so on both routes its keys are plain diagram or link state ids. Both routes
 run through the same functions: ``_run`` steps one start through a word
-letter by letter (``_run_blocks`` one period at a time, on the module
-route's torus-shaped words), ``_transfer`` decodes its stepped state per
+letter by letter (``_run_blocks`` one period at a time, on the module route,
+for a word that carries blocks), ``_transfer`` decodes its stepped state per
 diagram or link state (the selftest and the tests check the algebra's
 relations through it), ``_closed`` sums the closing terms with their
 weights, and ``_bracket`` runs every start, divides the closed sum by delta
@@ -160,10 +160,12 @@ divided exactly by 1 + 2^W, the packed 1 + x of delta = -A^(-2)(1 + x), and
 decoded once. In the full transfer every weight is a multiple of delta, so
 there the division always leaves no remainder.
 
-Block steps. A torus-shaped word is a few periods, each repeated: d_n, its
-mirror or its inverse, d_r^(+-1) in full twists, or D_m, with
-d_m = s1 ... s_(m-1) and D_m = s_(m-1) ... s1 (``_twisted_torus_blocks``
-in ``braid.py`` reads them, and returns None for any other word). For each
+Block steps. The torus and twisted torus builders in ``braid.py`` make
+each word from a few periods, each repeated: d_n, its mirror or its inverse,
+d_r^(+-1) in full twists, or D_m, with d_m = s1 ... s_(m-1) and
+D_m = s_(m-1) ... s1. They attach these blocks ``[(period, count), ...]``
+to the word, as ``BraidWord._blocks``, and the letters are the periods
+repeated and concatenated, so the two agree by construction. For each
 distinct period ``_bracket`` builds one row per link state: the state with
 coefficient 1 stepped through the period's letters by ``_run``, at the
 whole word's width W, kept as its terms (target, base, packed). Each start
@@ -243,9 +245,10 @@ take 1-3 ms on their first run; on the 11 strands of (a, k1, k2) = (2,2,2)
 it takes 25,572 and 22,244 (105,489 letter by letter) against 366,268, and
 0.03-0.05 s against 0.15-0.46 s, the higher figures while the tables fill.
 So ``kauffman_bracket`` takes the module route, by blocks, for exactly the
-torus-shaped words that ``_twisted_torus_blocks`` in ``braid.py`` splits
-into blocks, the words that module builds, and the full transfer for every
-other word.
+words that carry blocks, the words the builders in ``braid.py`` make, and
+the full transfer for every other word. A ``BraidWord`` given by its
+letters takes the full transfer even where it has the torus shape; the
+bracket is the same on both routes.
 
 The Jones polynomial is the writhe correction (-A^3)^(-writhe) times the
 bracket, re-expressed in t = A^{-4}. For a knot every exponent of the
@@ -267,7 +270,7 @@ import math
 import sys
 import threading
 
-from .braid import BraidWord, _twisted_torus_blocks, is_knot_closure, writhe
+from .braid import BraidWord, is_knot_closure, writhe
 from .errors import (
     ExponentNotDivisibleBy4,
     InternalInvariantViolation,
@@ -627,10 +630,10 @@ def _bracket(b: BraidWord, tables: _Tables, blocks: list[tuple[tuple[int, ...], 
     has m loops weighs delta^m. The cell modules, with more starts, step the
     word as written once per start, keep only the start's own entry and weigh
     the diagonal of W_k by Delta_k. On one strand both tables hold one state
-    that weighs delta. With ``blocks``, the word's ``_twisted_torus_blocks``,
-    the cell modules (and only they, as every link state starts) step it one
-    period at a time through block rows built for this call; without, every
-    start is stepped letter by letter.
+    that weighs delta. With ``blocks``, the blocks the word's builder
+    attached, the cell modules (and only they, as every link state starts)
+    step it one period at a time through block rows built for this call;
+    without, every start is stepped letter by letter.
     """
     trace = len(tables.starts) > 1
     width = _width(len(b.letters), b.strands)
@@ -668,10 +671,9 @@ def _bracket(b: BraidWord, tables: _Tables, blocks: list[tuple[tuple[int, ...], 
 def kauffman_bracket(b: BraidWord, threshold: int | None = None) -> LaurentPoly:
     """Kauffman bracket of the braid closure (a Laurent polynomial in A)."""
     _check_strands(b.strands, threshold)
-    blocks = _twisted_torus_blocks(b)
-    if blocks is None:
+    if b._blocks is None:
         return _bracket(b, _diagrams(b.strands))
-    return _bracket(b, _modules(b.strands), blocks)
+    return _bracket(b, _modules(b.strands), b._blocks)
 
 
 def jones_from_braid(b: BraidWord, threshold: int | None = None) -> LaurentPoly:

@@ -27,7 +27,7 @@ from twistsum import (
     twisted_torus_braid,
 )
 from twistsum import temperley_lieb
-from twistsum.braid import _delta_power, _reduced_twisted_torus_braid, _twisted_torus_blocks
+from twistsum.braid import _reduced_twisted_torus_braid
 from twistsum.temperley_lieb import (
     _basis_size,
     _bracket,
@@ -379,35 +379,6 @@ def test_cupcap_on_link_states():
     assert _cupcap((1, 0, 3, 2), 1) == ((3, 2, 1, 0), 0)
 
 
-def _shape_oracle(b, reduced=True):
-    """The twisted torus shape by trying every (period, q, r, s) and (period, q, m, j) the word's length allows.
-
-    The negative full twist on r strands is written (s_(r-1)^-1 ... s_1^-1)^r,
-    as ``twisted_torus_braid`` builds it. With ``reduced`` the shape also
-    takes the torus block (s_(n-1)^-1 ... s1^-1)^q and D_m^j = (s_(m-1) ... s1)^j
-    after the torus block, the blocks ``_reduced_twisted_torus_braid`` builds;
-    without, it is the shape that chose the module route before them.
-    """
-    n, letters = b.strands, b.letters
-    up = tuple(range(1, n))
-    periods = [up, tuple(-i for i in up)] + ([tuple(-i for i in reversed(up))] if reduced else [])
-    for period in periods:
-        for q in range(1, len(letters) // max(n - 1, 1) + 1):
-            torus = period * q
-            if not torus or letters[:len(torus)] != torus:
-                continue
-            rest = letters[len(torus):]
-            if not rest:
-                return True
-            for r in range(2, n):
-                turns = len(rest) // (r * (r - 1))
-                if turns and rest in (tuple(range(1, r)) * (r * turns), tuple(range(1 - r, 0)) * (r * turns)):
-                    return True
-                if reduced and rest == tuple(range(r - 1, 0, -1)) * (len(rest) // (r - 1)):
-                    return True
-    return False
-
-
 def _torus_grid():
     words = [torus_braid(p, s * q) for p in range(2, 10) for q in range(1, 4) for s in (1, -1)]
     words += [twisted_torus_braid(p, q, r, s)
@@ -420,24 +391,27 @@ def _torus_grid():
 
 def test_module_route_matches_the_full_transfer_on_the_torus_grid():
     for w in _torus_grid():
-        blocks = _twisted_torus_blocks(w)
+        blocks = w._blocks
         expected = _bracket(w, _diagrams(w.strands))
         # the block kernel and letterwise stepping on the same module tables
         assert _bracket(w, _modules(w.strands), blocks) == _bracket(w, _modules(w.strands)) == expected, w
 
 
-def test_block_and_letterwise_module_brackets_agree_on_the_reduced_family_words():
-    # the reduced word of every tier-1 family member with at most 13 strands,
-    # the most a tier-1 Jones computation runs on
-    members = list(family_enumerate(3, 4, 4)) + [FamilyParams(1, 5, 2)]
+def _reduced_family_words(max_strands):
+    """The reduced word of every tier-1 family member with at most ``max_strands`` strands."""
     words = []
-    for fp in members:
+    for fp in list(family_enumerate(3, 4, 4)) + [FamilyParams(1, 5, 2)]:
         inst = family_instantiate(fp)
         words.append(_reduced_twisted_torus_braid(inst.p, inst.q, inst.r, inst.s))
-    words = [w for w in words if w.strands <= 13]
+    return [w for w in words if w.strands <= max_strands]
+
+
+def test_block_and_letterwise_module_brackets_agree_on_the_reduced_family_words():
+    # 13 strands is the most a tier-1 Jones computation runs on
+    words = _reduced_family_words(13)
     assert len(words) == 12
     for w in words:
-        blocks = _twisted_torus_blocks(w)
+        blocks = w._blocks
         assert len(blocks) == 2, w
         assert _bracket(w, _modules(w.strands), blocks) == _bracket(w, _modules(w.strands)), w
 
@@ -471,64 +445,58 @@ def test_module_route_matches_the_full_transfer_on_the_small_braids_words():
         assert _bracket(w, _modules(w.strands)) == _bracket(w, _diagrams(w.strands)), w
 
 
-def test_no_small_braids_word_changes_route():
-    # the reduced words' blocks widened the module route's shape; a random
-    # word keeps the route it took before, where the full transfer steps fewer
-    # entries
-    words = list(_small_braids_words(1))
-    assert [w for w in words if (_twisted_torus_blocks(w) is not None) != _shape_oracle(w, reduced=False)] == []
-
-
 def _letters(blocks):
     return tuple(letter for period, count in blocks for _ in range(count) for letter in period)
 
 
 def test_the_blocks_give_back_the_word():
-    rng = random.Random(33)
-    for w in _torus_grid():
-        assert _letters(_twisted_torus_blocks(w)) == w.letters, w
-        # the accepted one-letter changes too
-        for i in range(len(w.letters)):
-            letter = rng.choice([s * g for s in (1, -1) for g in range(1, w.strands) if s * g != w.letters[i]])
-            blocks = _twisted_torus_blocks(BraidWord(w.strands, w.letters[:i] + (letter,) + w.letters[i + 1:]))
-            assert blocks is None or _letters(blocks) == w.letters[:i] + (letter,) + w.letters[i + 1:], w
+    # the four jones-9 words: T(9,10), T(8,9), T(8,11) and the reduced word
+    # of the (1,2,2) member, TT(9,5,7,-1)
+    jones9 = [torus_braid(9, 10), torus_braid(8, 9), torus_braid(8, 11), _reduced_twisted_torus_braid(9, 5, 7, -1)]
+    for w in _torus_grid() + _reduced_family_words(13) + jones9:
+        assert _letters(w._blocks) == w.letters, w
     # one period per block: d_7^(-2) D_5^2, d_9^5 d_7^(-7) and T(2,-3)
-    assert _twisted_torus_blocks(_reduced_twisted_torus_braid(9, 5, 7, -1)) == [((-6, -5, -4, -3, -2, -1), 2),
-                                                                                ((4, 3, 2, 1), 2)]
-    assert _twisted_torus_blocks(twisted_torus_braid(9, 5, 7, -1)) == [(tuple(range(1, 9)), 5),
-                                                                       (tuple(range(-6, 0)), 7)]
-    assert _twisted_torus_blocks(torus_braid(2, -3)) == [((-1,), 3)]
+    assert _reduced_twisted_torus_braid(9, 5, 7, -1)._blocks == [((-6, -5, -4, -3, -2, -1), 2), ((4, 3, 2, 1), 2)]
+    assert twisted_torus_braid(9, 5, 7, -1)._blocks == [(tuple(range(1, 9)), 5), (tuple(range(-6, 0)), 7)]
+    assert torus_braid(2, -3)._blocks == [((-1,), 3)]
 
 
-def test_shape_check_accepts_the_family_words_and_rejects_near_misses():
-    rng = random.Random(32)
-    for w in _torus_grid():
-        assert _shape_oracle(w)
-        # every one-letter change, checked against the oracle: some changes
-        # give another word of the shape, such as T(3,2) -> TT(3,1,2,1)
-        for _ in range(3):
-            i = rng.randrange(len(w.letters))
-            letter = rng.choice([s * g for s in (1, -1) for g in range(1, w.strands) if s * g != w.letters[i]])
-            changed = BraidWord(w.strands, w.letters[:i] + (letter,) + w.letters[i + 1:])
-            assert (_twisted_torus_blocks(changed) is not None) == _shape_oracle(changed), changed
-    near_misses = [
-        BraidWord(5, (1, 2, 3, 4, 1, 2, 4, 4)),  # one letter changed
-        BraidWord(5, (2, 3, 4, 1) * 3),  # the run starts at sigma_2
-        BraidWord(5, (1, 2, 3, 4) * 3 + _delta_power(5, -5)),  # a twist on r = n strands
-        BraidWord(5, (1, 2, 3, 4) * 2 + _delta_power(3, -3)[:-1]),  # a twist cut short
-        BraidWord(5, (1, 2, 3, 4, 1, 2, 3)),  # a partial period
-        BraidWord(5, (-4, -3, -2, -1) + (3, 2, 1, 3, 2)),  # a power of D_4 cut short
-        BraidWord(5, (1, 2, 3, 4) + (4, 3, 2, 1)),  # D_m on m = n strands
-        BraidWord(5, (1, 2, 3, 4) + (-3, -2, -1)),  # a negative power of D_4
-        BraidWord(5, (-4, -3, -2, -1, -1, -2, -3, -4)),  # two inverse periods of different forms
-        BraidWord(1, ()),
-        BraidWord(4, ()),
-    ]
-    for w in near_misses:
-        assert _twisted_torus_blocks(w) is None and not _shape_oracle(w), w
-    for w in (twisted_torus_braid(9, 5, 7, -1), torus_braid(9, 10), torus_braid(8, -11),
-              _reduced_twisted_torus_braid(9, 5, 7, -1), _reduced_twisted_torus_braid(19, 13, 15, -1)):
-        assert _twisted_torus_blocks(w) is not None
+def test_empty_periods_and_zero_counts_leave_no_block():
+    # T(1, q) has the empty period, T(p, 0) no period at all
+    for w in (torus_braid(1, 5), torus_braid(1, -5), torus_braid(5, 0), BraidWord(4, ())):
+        assert w.letters == () and w._blocks is None, w
+    # no full twist for s = 0
+    assert twisted_torus_braid(7, 3, 5, 0)._blocks == [(tuple(range(1, 7)), 3)]
+    # D_1 is empty, so a reduced word with q = 1 is its twist block alone
+    assert _reduced_twisted_torus_braid(7, 1, 5, -1)._blocks == [(tuple(range(-4, 0)), 4)]
+
+
+def test_a_word_given_by_its_letters_takes_the_full_transfer_to_the_same_bracket(monkeypatch):
+    # the same letters without blocks: an equal word, whose bracket comes from
+    # the full transfer instead of the module route
+    words = _torus_grid() + _reduced_family_words(11)
+    routes = []
+    real_bracket = temperley_lieb._bracket
+
+    def recording(b, tables, blocks=None):
+        routes.append(("diagrams" if tables is _diagrams(b.strands) else "modules", blocks))
+        return real_bracket(b, tables, blocks)
+
+    monkeypatch.setattr(temperley_lieb, "_bracket", recording)
+    for w in words:
+        given = BraidWord(w.strands, w.letters)
+        assert given == w and hash(given) == hash(w) and repr(given) == repr(w), w
+        assert given._blocks is None
+        assert kauffman_bracket(given) == kauffman_bracket(w), w
+    assert routes == [route for w in words for route in (("diagrams", None), ("modules", w._blocks))]
+
+
+def test_mirror_and_connected_sum_words_carry_no_blocks():
+    # nothing takes their Jones by blocks: expr_jones mirrors the polynomial,
+    # and the Torus nodes of a sum have closed forms
+    assert braid_mirror(torus_braid(5, 7))._blocks is None
+    assert braid_connected_sum(torus_braid(2, 3), torus_braid(3, 4))._blocks is None
+    assert jones_from_braid(braid_mirror(torus_braid(5, 7))) == jones_from_braid(torus_braid(5, -7))
 
 
 def test_a_twisted_torus_bracket_takes_the_module_route(monkeypatch):
@@ -551,10 +519,11 @@ def test_a_twisted_torus_bracket_takes_the_module_route(monkeypatch):
 # of W_n, a diagonal entry of every word; with n even, Delta_n(0) = +-1, so a
 # changed trace leaves a remainder. On the full transfer it is the identity
 # diagram, the one start, which only the all-straight smoothing reaches; the
-# figure-eight word is outside the twisted torus shape, so it takes that
-# route. The first start of W_0, c_0 = (0 1)(2 3), weighs Delta_0 = 1 and,
-# like every state of W_0, has no diagonal entry for T(4,3), so corrupting
-# it raises only if the bracket runs that start and closes its own entry.
+# figure-eight word is given by its letters and carries no blocks, so it
+# takes that route. The first start of W_0, c_0 = (0 1)(2 3), weighs
+# Delta_0 = 1 and, like every state of W_0, has no diagonal entry for T(4,3),
+# so corrupting it raises only if the bracket runs that start and closes its
+# own entry.
 @pytest.mark.parametrize("word, w0, corrupt", [
     (torus_braid(4, 3), False, lambda base, packed: (base + 2, packed)),
     (torus_braid(4, 3), False, lambda base, packed: (base, packed + 1)),
@@ -563,7 +532,7 @@ def test_a_twisted_torus_bracket_takes_the_module_route(monkeypatch):
 ], ids=["exponent-off-by-2", "trace-off-by-1", "full-transfer-exponent-off-by-2", "w0-start-trace-off-by-1"])
 def test_a_corrupted_module_trace_raises(monkeypatch, word, w0, corrupt):
     n = word.strands
-    blocks = _twisted_torus_blocks(word)
+    blocks = word._blocks
     tables = temperley_lieb._modules(n) if blocks is not None else temperley_lieb._diagrams(n)
     target = tables.group.index(0) if w0 else 0
     kernel = "_run" if blocks is None else "_run_blocks"
