@@ -211,9 +211,15 @@ def _selftest_suites(args):
 
     def temperley_lieb_relations():
         # on every basis diagram and on every link state of every cell module,
-        # stepped by the kernels the bracket runs
+        # stepped by the kernels the bracket runs; building the modules
+        # raises if a full twist is not one monomial on each of them
         for n in range(2, 6):
-            for tables in (tl._diagrams(n), tl._modules(n)):
+            try:
+                modules = tl._modules(n)
+            except InternalInvariantViolation:
+                yield False
+                return
+            for tables in (tl._diagrams(n), modules):
                 for d in tl._reachable(tables):
                     for word, equal in _braid_relations(n):
                         yield tl._transfer(tables, d, word) == tl._transfer(tables, d, equal)

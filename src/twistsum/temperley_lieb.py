@@ -6,7 +6,8 @@ delta <closure(b)> as a weighted sum of diagonal entries, through one kind of
 table, one letter kernel (``_step``) and one closing path (``_bracket``);
 they differ in their tables, their start states, their letter order and
 their weights. The module route steps a word one period at a time, through
-block rows that ``_step`` builds, from the blocks its builder attached.
+block rows that ``_step`` builds, from the blocks its builder attached, and
+takes the whole full twists of a block off as one monomial per module.
 
 Diagrams. A planar (Temperley-Lieb) diagram on n strands is a perfect
 noncrossing matching of 2n boundary points. The points are numbered in a
@@ -179,7 +180,46 @@ entry: it sums the same smoothing paths, grouped by the link states they
 pass at the period boundaries. The rows are built per call from the
 cached module tables and dropped with it; building them steps one period
 per link state, and the full transfer, ``_transfer`` and the relation checks
-keep stepping letter by letter.
+keep stepping letter by letter. So does ``_bracket`` on the cell modules
+when it is given no blocks, the tests' letterwise reference.
+
+Full twists. The full twist Delta^2 = d_n^n is central in B_n (W.-L. Chow,
+Annals of Math., 1948; F. A. Garside, Quart. J. Math., 1969). So are the
+n-th powers of the builders' other two periods on n strands, which are both
+Delta^(-2). The inverse period s_(n-1)^-1 ... s1^-1 is d_n^(-1). The mirror
+period s1^-1 ... s_(n-1)^-1 is D_n^(-1), and D_n^n = Delta^2: conjugation
+by the half twist Delta sends s_i to s_(n-i) (Garside), so it sends d_n to
+D_n and the central d_n^n to D_n^n, which is therefore d_n^n.
+
+On the link states a letter acts as s_j = A + A^-1 E_j, so E_j = A s_j - A^2,
+and an element central in B_n commutes with every E_j. Let T be the action
+of Delta^(+-2) on W_k and suppose T c_k = lambda c_k. Every link state t of
+W_k is in the orbit of c_k (see Cell modules, where the irreducibility of
+W_k over Q(delta) gives it): a product X of cup-caps has X c_k = delta^l t.
+Then delta^l T t = T X c_k = X T c_k = lambda delta^l t, and delta is not 0
+in Q(A), so T t = lambda t: T is the scalar lambda on W_k. Both sides have
+their coefficients in Z[A^+-1], so the identity holds there too. On c_k,
+lambda is A^(+-(k(k + 2) - 3n)): the twisting coefficient (-1)^k A^(k(k+2))
+of the k-th Jones-Wenzl channel (L. H. Kauffman and S. Lins, Temperley-Lieb
+Recoupling Theory and Invariants of 3-Manifolds, 1994) times (-A^3)^(-n),
+whose signs cancel as k = n mod 2. On W_n, where every E_j is 0 and s_j is
+A, it is A^(n(n - 1)), as it must be. ``_modules`` steps d_n^n and d_n^(-n)
+from every c_k when it builds the tables and raises
+InternalInvariantViolation unless each gives c_k times exactly that
+monomial, so the value holds on the tables every bracket steps.
+
+A trace is unchanged by moving a central factor, so the trace of a word
+with t full twists taken out of it is lambda^t times the trace of what is
+left. ``_bracket`` peels them off every block whose period is d_n^(+-1), its
+mirror or its inverse on all n strands of the word: of ``count`` periods it
+steps ``count mod n`` and adds floor(count / n) twists, with the sign of the
+period. Each twist moves the base of a diagonal entry of W_k by
++-(k - n)(k + n + 2) (``_twist_base``): lambda without the A^(+-n(n - 1))
+of the peeled letters, which the writhe of the whole word adds at decoding.
+k - n and k + n + 2 are both even, so the move is a multiple of 4, and the
+gap check of ``_closed`` holds for the peeled entries as for the stepped
+ones. On the jones-9 torus words one period is left of T(9,10) and of
+T(8,9), and three of T(8,11).
 
 Memory in the modules. A cup-cap never changes the number of defects of a
 link state, so no table entry leaves its module, and the stepped state of a
@@ -212,6 +252,9 @@ routes.
 Width in the modules. The routes use the same W, and so do block steps: a
 block step computes the same integer polynomial entries as letterwise
 stepping, so the bound below holds for them and the same W decodes them.
+W is taken from the whole word's length, peeled twists included: a peeled
+trace is a monomial times the trace of a shorter word, with that trace's
+coefficients, which the bound for the whole word covers.
 The packed row terms and products are exact whatever their digits; only
 the final decoding needs the bound. An entry of one start's
 state sums, over the subsets of smoothed letters that lead to it, one term
@@ -230,10 +273,12 @@ identity alone, and random words fill their states: letter by letter on
 the 1,800 words of the small-braids benchmark (seed 1) it steps 1,440,600
 entries against 535,538 and takes about 2.7 times as long. On torus and
 twisted torus words it stays sparse: on the torus words of jones-9
-(T(9,10), T(8,9), T(8,11)) its block steps take 6,638, 2,522 and 3,135 row
-terms, after 2,152, 941 and 941 letter-step entries to build the rows
-(letter by letter it stepped 35,886, 12,221 and 15,113 entries), where the
-full transfer steps 288,043, 66,857 and 86,877. Its tables hold the
+(T(9,10), T(8,9), T(8,11)) its block steps take 256, 128 and 741 row terms
+once the whole twists are peeled (6,638, 2,522 and 3,135 without the peel),
+after 2,152, 941 and 941 letter-step entries to build the rows (letter by
+letter it stepped 35,886, 12,221 and 15,113 entries), where the full
+transfer steps 288,043, 66,857 and 86,877. T(12,-37), with three whole
+twists, takes 2,048 row terms against 330,941. Its tables hold the
 C(n, floor(n/2)) link states (1,716 at n = 13), where the full transfer
 interns every diagram it reaches, up to C(n) (742,900 at n = 13). The Jones
 polynomial of a ``TT`` node with q < r runs on the shorter r-strand word
@@ -423,6 +468,16 @@ def _reachable(tables: _Tables) -> list[int]:
     return sorted(order)
 
 
+def _twist_base(strands: int, k: int) -> int:
+    """How far one full twist Delta^2 moves the base of an entry of W_k, its running writhe n(n - 1) left out.
+
+    Delta^2 acts on W_k as A^(k(k + 2) - 3n) (see the module docstring);
+    that is A^((k - n)(k + n + 2)) times the A^(n(n - 1)) of its n(n - 1)
+    positive letters. Delta^(-2) moves it the opposite way.
+    """
+    return (k - strands) * (k + strands + 2)
+
+
 @functools.lru_cache(maxsize=4)
 def _modules(strands: int) -> _Tables:
     """The cell modules' tables, complete: every link state starts, module by module from k = n defects down.
@@ -430,18 +485,29 @@ def _modules(strands: int) -> _Tables:
     Each module is walked from c_k alone, which pairs (0, 1), (2, 3), ...
     and leaves the last k points as defects; the walk reaches every link
     state of W_k (see the module docstring) and fills every entry. An entry
-    that leaves its module raises InternalInvariantViolation.
+    that leaves its module raises InternalInvariantViolation, and so does a
+    full twist Delta^(+-2), stepped from each c_k, that does not give c_k
+    times A^(+-(k(k + 2) - 3n)), the scalar ``_bracket`` peels twists with.
     """
     tables = _Tables(strands, [], lambda state: state.count(-1))
+    c_ids = []
     for arcs in range(strands // 2 + 1):
         c_k = tuple(i ^ 1 if i < 2 * arcs else -1 for i in range(strands))
         tables.starts = [tables.intern(c_k)]
+        c_ids.append(tables.starts[0])
         _reachable(tables)
     tables.starts = range(len(tables.states))
     group = tables.group
     for j, row in enumerate(tables.moves):
         if any(code >= 0 and group[code >> 1] != group[d] for d, code in enumerate(row)):
             raise InternalInvariantViolation(f"a cup-cap at {j} leaves a cell module on {strands} strands")
+    # Delta^(+-2) is d_n^(+-n), and its running writhe is +-n(n - 1)
+    for sign, period in ((1, tuple(range(1, strands))), (-1, tuple(range(1 - strands, 0)))):
+        for c in c_ids:
+            k = group[c]
+            twist = sign * (_twist_base(strands, k) + strands * (strands - 1))
+            if _transfer(tables, c, period * strands) != {c: LaurentPoly.monomial(twist)}:
+                raise InternalInvariantViolation(f"a full twist is not A^{twist} on W_{k} on {strands} strands")
     return tables
 
 
@@ -632,11 +698,16 @@ def _bracket(b: BraidWord, tables: _Tables, blocks: list[tuple[tuple[int, ...], 
     the diagonal of W_k by Delta_k. On one strand both tables hold one state
     that weighs delta. With ``blocks``, the blocks the word's builder
     attached, the cell modules (and only they, as every link state starts)
-    step it one period at a time through block rows built for this call;
-    without, every start is stepped letter by letter.
+    step it one period at a time through block rows built for this call,
+    after peeling the whole full twists off every period d_n^(+-1) on all n
+    strands: each twist moves the base of a diagonal entry of W_k by
+    ``_twist_base`` (see Full twists in the module docstring). Without
+    blocks, every start is stepped letter by letter.
     """
     trace = len(tables.starts) > 1
-    width = _width(len(b.letters), b.strands)
+    n = b.strands
+    width = _width(len(b.letters), n)
+    twists = 0
     if blocks is None:
         # the full transfer steps a rotation of the word, with the same
         # closure, to keep its state small for longer; the modules step it
@@ -644,22 +715,32 @@ def _bracket(b: BraidWord, tables: _Tables, blocks: list[tuple[tuple[int, ...], 
         letters = b.letters if trace else _rotated(b.letters)
         states = (_run(tables, s, letters, width) for s in tables.starts)
     else:
-        rows = {period: _block_rows(tables, period, width) for period, _ in blocks}
-        states = (_run_blocks(rows, s, blocks, width) for s in tables.starts)
+        # n periods of d_n, of its mirror or of its inverse are Delta^(+-2)
+        full = {tuple(range(1, n)): 1, tuple(range(-1, -n, -1)): -1, tuple(range(1 - n, 0)): -1}
+        stepped = []
+        for period, count in blocks:
+            if period in full:
+                twists += full[period] * (count // n)
+                count %= n
+            if count:
+                stepped.append((period, count))
+        rows = {period: _block_rows(tables, period, width) for period, _ in stepped}
+        states = (_run_blocks(rows, s, stepped, width) for s in tables.starts)
     group = tables.group
     diagonal = []
     for s, state in zip(tables.starts, states):
         if not trace:
             diagonal.extend((group[d], base, packed) for d, (base, packed) in state.items())
         elif s in state:
-            diagonal.append((group[s], *state[s]))
+            base, packed = state[s]
+            diagonal.append((group[s], base + twists * _twist_base(n, group[s]), packed))
     x = 1 << width
     if trace:  # Delta_k = A^(-2k) Q_k(x)
         weights = [1, -(1 + x)]
-        while len(weights) <= b.strands:
+        while len(weights) <= n:
             weights.append(-(1 + x) * weights[-1] - x * weights[-2])
     else:  # delta^m = A^(-2m) (-(1 + x))^m
-        weights = [(-1 - x) ** m for m in range(b.strands + 1)]
+        weights = [(-1 - x) ** m for m in range(n + 1)]
     low, total = _closed(diagonal, weights, width)
     # delta = -A^(-2)(1 + x), so <closure> = -A^(low + 2) total / (1 + x)
     quotient, remainder = divmod(total, 1 + x)

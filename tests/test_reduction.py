@@ -20,7 +20,7 @@ from twistsum import (
     kauffman_bracket,
     twisted_torus_braid,
 )
-from twistsum.braid import _reduced_twisted_torus_braid
+from twistsum.braid import _D_power, _delta_power, _from_blocks, _reduced_twisted_torus_braid
 from twistsum.temperley_lieb import _bracket, _diagrams, _modules
 
 KINK = LaurentPoly({3: -1})  # -A^3, the bracket factor of one positive destabilization
@@ -86,11 +86,42 @@ def test_general_form_sweep():
     members = [(p, q, r, s) for p in range(3, 10) for r in range(2, p) for q in range(1, r)
                if math.gcd(p, q) == 1 for s in (-2, -1, 1, 2)]
     assert len(members) == 244
+    # the reduced words with |q + rs| >= r carry whole twists, which their
+    # bracket peels; the stated words carry none on p strands
+    assert sum(abs(q + r * s) >= r for _, q, r, s in members) == 183
     for m in members:
         word, reduced = twisted_torus_braid(*m), _reduced_twisted_torus_braid(*m)
         assert alexander_from_braid(word) == alexander_from_braid(reduced), m
         if m[0] <= 8 or abs(m[3]) == 1:
             assert jones_from_braid(word) == jones_from_braid(reduced), m
+
+
+def test_general_form_sweep_with_whole_twists_on_p_strands():
+    # q > p: the stated word, which is also the reduced one, starts with
+    # floor(q / p) whole twists on all p strands; the same letters given
+    # without blocks take the full transfer
+    members = [(p, q, r, s) for p in range(3, 8) for q in range(p + 1, 2 * p + 2) if math.gcd(p, q) == 1
+               for r in range(2, p) for s in (-1, 1)]
+    assert len(members) == 142
+    for m in members:
+        word = _reduced_twisted_torus_braid(*m)
+        assert word == twisted_torus_braid(*m) and word._blocks[0] == _delta_power(m[0], m[1]), m
+        assert jones_from_braid(word) == jones_from_braid(BraidWord(word.strands, word.letters)), m
+
+
+def test_the_full_twist_moved_out_of_the_reduced_word_gives_the_same_bracket():
+    # The full twist is central, so d_r^(q + rs) = d_r^(rs) d_r^q: the word
+    # with the blocks d_r^(rs), d_r^q and D_q^(p - r) is the reduced word as
+    # a braid. Its bracket peels the whole twists d_r^(rs) and steps q periods
+    # of d_r, where the reduced word steps r - q periods of d_r^(-1)
+    members = [fp for fp in _tier1_members() if _params(fp)[2] <= 13]
+    assert len(members) == 12
+    for fp in members:
+        p, q, r, s = _params(fp)
+        moved = _from_blocks(r, [_delta_power(r, r * s), _delta_power(r, q), _D_power(q, p - r)])
+        reduced = _reduced_twisted_torus_braid(p, q, r, s)
+        assert moved.letters != reduced.letters, fp
+        assert kauffman_bracket(moved, threshold=13) == kauffman_bracket(reduced, threshold=13), fp
 
 
 # A sign flip keeps the permutation, so the corrupted word still closes to a

@@ -39,6 +39,7 @@ from twistsum.temperley_lieb import (
     _reachable,
     _rotated,
     _transfer,
+    _twist_base,
     catalan,
 )
 
@@ -596,8 +597,8 @@ def test_a_module_route_state_stays_within_one_cell_module(monkeypatch):
     lambda target, base, packed: (target, base, packed + 1),
     lambda target, base, packed: (target, base, -packed),
 ], ids=["row-exponent-off-by-2", "row-coefficient-off-by-1", "row-sign-flipped"])
-@pytest.mark.parametrize("word", [torus_braid(4, 3), _reduced_twisted_torus_braid(9, 5, 7, -1)],
-                         ids=["T(4,3)", "TT(9,5,7,-1)-reduced"])
+@pytest.mark.parametrize("word", [torus_braid(4, 3), _reduced_twisted_torus_braid(9, 5, 7, -1), torus_braid(9, 10)],
+                         ids=["T(4,3)", "TT(9,5,7,-1)-reduced", "T(9,10)-one-period-after-the-peel"])
 def test_a_corrupted_block_row_raises_or_changes_the_bracket(monkeypatch, word, corrupt):
     expected = kauffman_bracket(word)
     real_rows = temperley_lieb._block_rows
@@ -615,3 +616,102 @@ def test_a_corrupted_block_row_raises_or_changes_the_bracket(monkeypatch, word, 
     except InternalInvariantViolation:
         return
     assert got != expected
+
+
+def _full_twist_periods(n):
+    """d_n, its mirror and its inverse, each with the sign of its n-th power, Delta^(+-2)."""
+    return [(1, tuple(range(1, n))), (-1, tuple(range(-1, -n, -1))), (-1, tuple(range(1 - n, 0)))]
+
+
+def test_a_full_twist_is_one_monomial_on_every_link_state():
+    # Delta^(+-2) acts on W_k as A^(+-(k(k + 2) - 3n)), running writhe
+    # included: on every link state up to 10 strands, and on c_k, the state
+    # each module's walk starts from, on 11 and 12
+    for n in range(2, 13):
+        modules = _modules(n)
+        group = modules.group
+        starts = [s for s in modules.starts if n <= 10 or s == 0 or group[s] != group[s - 1]]
+        assert len(starts) == (len(modules.states) if n <= 10 else n // 2 + 1)
+        for sign, period in _full_twist_periods(n):
+            for s in starts:
+                k = group[s]
+                assert _twist_base(n, k) + n * (n - 1) == k * (k + 2) - 3 * n
+                assert _transfer(modules, s, period * n) == {s: LaurentPoly.monomial(sign * (k * (k + 2) - 3 * n))}, \
+                    (n, period, s)
+
+
+def test_peeled_torus_brackets_match_stepping_every_letter():
+    # T(p, +-q) with q >= p carries floor(q / p) whole twists. The full
+    # transfer is the reference up to 7 strands; on 9 and 10 it took 21 s
+    # and 125 s for this grid, so from 8 strands on the reference is the
+    # letterwise module route, which the tests above hold to the full
+    # transfer
+    for p in range(2, 11):
+        reference = _diagrams(p) if p <= 7 else _modules(p)
+        for q in range(p, 26):
+            for w in (torus_braid(p, q), torus_braid(p, -q)):
+                assert _bracket(w, _modules(p), w._blocks) == _bracket(w, reference), w
+
+
+@pytest.mark.parametrize("p, q", [(13, 40), (12, -37), (11, -23)])
+def test_jones_of_torus_knots_with_whole_twists_peeled(p, q):
+    assert jones_from_braid(torus_braid(p, q), threshold=13) == torus_jones_closed(p, q)
+
+
+def test_the_letterwise_module_route_steps_every_letter(monkeypatch):
+    # without blocks, the tests' reference, each start steps the whole word,
+    # its whole twist included; with blocks, T(9,10) steps one period of d_9
+    # to build the rows, and the twist is peeled
+    w = torus_braid(9, 10)
+    modules = _modules(9)
+    runs = []
+    real_run = temperley_lieb._run
+
+    def recording(tables, start, letters, width):
+        runs.append(letters)
+        return real_run(tables, start, letters, width)
+
+    monkeypatch.setattr(temperley_lieb, "_run", recording)
+    letterwise = _bracket(w, modules)
+    assert runs == [w.letters] * len(modules.starts)
+    runs.clear()
+    assert _bracket(w, modules, w._blocks) == letterwise
+    assert runs == [tuple(range(1, 9))] * len(modules.starts)
+
+
+# A wrong twist exponent on every module multiplies the bracket by a power
+# of A; on one module only, it changes that module's trace. Off by 2 on one
+# module, with an odd number of twists, puts that trace 2 mod 4 away from
+# the others, which the gap check in _closed refuses. Each word peels an odd
+# number of twists from a different period form: d_9, the mirror of d_8
+# and the inverse of d_7.
+@pytest.mark.parametrize("error, top_only, raises", [(4, False, False), (4, True, False), (2, True, True)],
+                         ids=["off-by-4-everywhere", "off-by-4-on-W_n", "off-by-2-on-W_n"])
+@pytest.mark.parametrize("word", [torus_braid(9, 10), torus_braid(8, -25), _reduced_twisted_torus_braid(9, 5, 7, -2)],
+                         ids=["T(9,10)", "T(8,-25)", "TT(9,5,7,-2)-reduced"])
+def test_a_wrong_twist_exponent_raises_or_changes_the_bracket(monkeypatch, word, error, top_only, raises):
+    expected = kauffman_bracket(word)  # builds the module tables with the right exponent
+    n = word.strands
+    full = {period: sign for sign, period in _full_twist_periods(n)}
+    assert sum(full.get(period, 0) * (count // n) for period, count in word._blocks) % 2
+    real = temperley_lieb._twist_base
+    monkeypatch.setattr(temperley_lieb, "_twist_base",
+                        lambda strands, k: real(strands, k) + (error if k == strands or not top_only else 0))
+    if raises:
+        with pytest.raises(InternalInvariantViolation, match="not a multiple of 4"):
+            kauffman_bracket(word)
+        return
+    try:
+        got = kauffman_bracket(word)
+    except InternalInvariantViolation:
+        return
+    assert got != expected
+
+
+def test_building_the_modules_checks_the_twist_exponent(monkeypatch):
+    fresh_tables(monkeypatch)
+    real = temperley_lieb._twist_base
+    monkeypatch.setattr(temperley_lieb, "_twist_base", lambda strands, k: real(strands, k) + (4 if k == 1 else 0))
+    with pytest.raises(InternalInvariantViolation, match="full twist"):
+        temperley_lieb._modules(5)
+    assert temperley_lieb._modules(4).strands == 4  # no module has one defect
