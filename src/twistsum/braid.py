@@ -116,8 +116,8 @@ def _delta_power(m: int, k: int) -> tuple[tuple[int, ...], int]:
 
 
 def _D_power(m: int, j: int) -> tuple[tuple[int, ...], int]:
-    """The block of D_m^j with D_m = s_(m-1) ... s1, j >= 0."""
-    return tuple(range(m - 1, 0, -1)), j
+    """The block of D_m^j with D_m = s_(m-1) ... s1; for j < 0 in the inverse form, D_m^(-1) = s1^-1 ... s_(m-1)^-1."""
+    return (tuple(range(m - 1, 0, -1)) if j >= 0 else tuple(range(-1, -m, -1))), abs(j)
 
 
 def twisted_torus_braid(p: int, q: int, r: int, s: int) -> BraidWord:
@@ -127,13 +127,18 @@ def twisted_torus_braid(p: int, q: int, r: int, s: int) -> BraidWord:
 
 
 def _reduced_twisted_torus_braid(p: int, q: int, r: int, s: int) -> BraidWord:
-    """A word on r strands whose closure is that of ``twisted_torus_braid(p, q, r, s)``, for q < r.
+    """A word on fewer strands whose closure is that of ``twisted_torus_braid(p, q, r, s)``, for q < r.
 
-    The word is d_r^(q + rs) D_q^(p - r), where d_m = s1 ... s_(m-1),
-    D_m = s_(m-1) ... s1 and d_r^(-1) = s_(r-1)^-1 ... s1^-1. Its bracket is
+    For s = -1 the word is d_m^(-k2) D_(k2)^(-j) D_q^(p - r) on
+    m = max(q, k2) strands, with k2 = r - q and j = min(q, k2); for every
+    other s it is d_r^(q + rs) D_q^(p - r) on r strands. Here
+    d_m = s1 ... s_(m-1), D_m = s_(m-1) ... s1, d_m^(-1) = s_(m-1)^-1 ... s1^-1
+    and D_m^(-1) = s1^-1 ... s_(m-1)^-1. The bracket of the r-strand word is
     that of the p-strand word divided by (-A^3)^(p - r), and its writhe is
-    p - r lower, so the Jones polynomials agree. For q >= r the p-strand word
-    itself is returned.
+    p - r lower; the bracket of the m-strand word is that of the r-strand
+    word divided by (-A^(-3))^j, and its writhe is j higher. So all three
+    Jones polynomials agree. For q >= r the p-strand word itself is
+    returned.
 
     Lemma. Let 1 <= q <= m and let X be a word on strands 1..m (no letter m).
     Then closure(d_(m+1)^q X) on m + 1 strands is closure(d_m^q X D_q) on m
@@ -168,10 +173,46 @@ def _reduced_twisted_torus_braid(p: int, q: int, r: int, s: int) -> BraidWord:
     d_r^(q + rs). Its exponent is never 0: it is q for s = 0, and
     |rs| >= r > q otherwise. The word carries the blocks d_r^(q + rs) and
     D_q^(p - r), or only the first for q = 1, where D_1 is empty.
+
+    Mirror lemma. Let 1 <= k <= m and let Y be a word on strands 1..m. Then
+    closure(d_(m+1)^(-k) Y) on m + 1 strands is closure(d_m^(-k) D_k^(-1) Y)
+    on m strands, and its bracket is -A^(-3) times the latter's.
+
+    This is the lemma seen through inversion, s_i -> s_i^-1 with the letters
+    reversed, which sends d^k to d^(-k). Inverting (b) gives
+    d_(m+1)^(-k) = c_k^(-1) d_m^(-k) = E^(-1) s_m^-1 d_m^(-k), with
+    E = s_(m-1) ... s_(m-k+1) as in (c). So
+    d_(m+1)^(-k) Y = E^(-1) s_m^-1 d_m^(-k) Y, and s_m^-1 occurs once. Its
+    rotation s_m^-1 (d_m^(-k) Y E^(-1)) has d_m^(-k) Y E^(-1) on strands
+    1..m; a Markov destabilization removes s_m^-1 and strand m + 1, and with
+    them one negative kink, a factor -A^(-3) of the bracket. What is left
+    closes as E^(-1) d_m^(-k) Y. Inverting (d) gives
+    E^(-1) = d_m^(m-k) D_k^(-1) d_m^(k-m), and d_m^(-m) is central in B_m,
+    so E^(-1) d_m^(-k) = d_m^(-m) d_m^(m-k) D_k^(-1) = d_m^(-k) D_k^(-1), and
+    what is left closes as d_m^(-k) D_k^(-1) Y.
+
+    For s = -1 the r-strand word is d_r^(-k2) D_q^(p - r). The mirror lemma
+    applied for m = r - 1, r - 2, ..., with k = k2 and, after i steps,
+    Y = D_(k2)^(-i) D_q^(p - r), takes it to
+    d_m^(-k2) D_(k2)^(-i - 1) D_q^(p - r) on m strands. Y has letters up to
+    max(k2, q) - 1, so the hypotheses k2 <= m and Y on strands 1..m hold
+    exactly while m >= max(q, k2): the chain takes
+    j = r - max(q, k2) = min(q, k2) steps and stops at max(q, k2) strands.
+    For k2 <= q, every member of the family, it reaches q strands, and
+    D_(k2)^(-k2) is the inverse full twist on strands 1..k2; TT(9,5,7,-1)
+    becomes 18 letters on 5 strands. For k2 > q the next step, to k2 - 1
+    strands, would need k <= m, which k2 > k2 - 1 breaks, so the word stays
+    on k2 strands, where d_(k2)^(-k2) is an inverse full twist on all of
+    them. For s != -1 the twist block d_r^(q + rs) is positive, or longer
+    than a whole inverse twist, and the r-strand word is kept.
     """
     TwistedTorusParams(p, q, r, s)
     if q >= r:
         return twisted_torus_braid(p, q, r, s)
+    if s == -1:
+        k2 = r - q
+        m = max(q, k2)
+        return _from_blocks(m, [_delta_power(m, -k2), _D_power(k2, -min(q, k2)), _D_power(q, p - r)])
     return _from_blocks(r, [_delta_power(r, q + r * s), _D_power(q, p - r)])
 
 

@@ -181,8 +181,10 @@ def expr_jones(e: KnotExpression, threshold: int | None = None) -> LaurentPoly:
     TwistedTorus nodes go through the Temperley-Lieb pipeline and are subject
     to its strand threshold on p, the strands of the stated word;
     TooManyStrands propagates to the caller. For q < r the pipeline runs on
-    the r-strand word with the same closure that
-    ``_reduced_twisted_torus_braid`` builds (its docstring has the proof).
+    the shorter word with the same closure that
+    ``_reduced_twisted_torus_braid`` builds (its docstring has the proofs):
+    on max(q, r - q) strands for s = -1, so on q strands for every family
+    member, and on r strands for every other s.
     """
     def twisted(pr: TwistedTorusParams) -> LaurentPoly:
         # refuse on p before building a word whose length alone may be

@@ -169,10 +169,13 @@ to the word, as ``BraidWord._blocks``, and the letters are the periods
 repeated and concatenated, so the two agree by construction. For each
 distinct period ``_bracket`` builds one row per link state: the state with
 coefficient 1 stepped through the period's letters by ``_run``, at the
-whole word's width W, kept as its terms (target, base, packed). Each start
-is then stepped one period at a time by ``_block_step``: an entry
+whole word's width W, kept as the stepped state ``{target: (base, packed)}``.
+The row of a start s for the first period of the word is s stepped through
+that period, so ``_run_blocks`` takes it as the state of s after one period
+and steps every later period by ``_block_step``: an entry
 A^b P(x) at state s and a term A^c R(x) of the row of s add
 A^(b + c) (P R)(x) at the term's target, merged as ``_step`` merges.
+A block step builds a new state and never changes a row.
 Evaluation at x = 2^W is a ring homomorphism, so the packed product of
 P(2^W) and R(2^W) is (P R)(2^W), and a block step reaches the state that
 letterwise stepping reaches, with the same integer polynomial in every
@@ -273,22 +276,25 @@ identity alone, and random words fill their states: letter by letter on
 the 1,800 words of the small-braids benchmark (seed 1) it steps 1,440,600
 entries against 535,538 and takes about 2.7 times as long. On torus and
 twisted torus words it stays sparse: on the torus words of jones-9
-(T(9,10), T(8,9), T(8,11)) its block steps take 256, 128 and 741 row terms
-once the whole twists are peeled (6,638, 2,522 and 3,135 without the peel),
-after 2,152, 941 and 941 letter-step entries to build the rows (letter by
-letter it stepped 35,886, 12,221 and 15,113 entries), where the full
-transfer steps 288,043, 66,857 and 86,877. T(12,-37), with three whole
-twists, takes 2,048 row terms against 330,941. Its tables hold the
-C(n, floor(n/2)) link states (1,716 at n = 13), where the full transfer
-interns every diagram it reaches, up to C(n) (742,900 at n = 13). The Jones
-polynomial of a ``TT`` node with q < r runs on the shorter r-strand word
-d_r^(q + rs) D_q^(p - r) that ``_reduced_twisted_torus_braid`` builds. For
-TT(9,5,7,-1), the fourth jones-9 word, 7 strands and 20 letters, the
-module route takes 804 row terms and 624 row-building entries (1,985
-entries letter by letter), where the full transfer steps 2,155, and both
-take 1-3 ms on their first run; on the 11 strands of (a, k1, k2) = (2,2,2)
-it takes 25,572 and 22,244 (105,489 letter by letter) against 366,268, and
-0.03-0.05 s against 0.15-0.46 s, the higher figures while the tables fill.
+(T(9,10), T(8,9), T(8,11)) it builds the rows in 2,152, 941 and 941
+letter-step entries (letter by letter it stepped 35,886, 12,221 and 15,113
+entries), where the full transfer steps 288,043, 66,857 and 86,877. Once
+the whole twists are peeled, T(9,10) and T(8,9) have one period left, which
+their rows hold, and take no block step; T(8,11) takes 613 row terms in its
+two (without the peel, 6,638, 2,522 and 3,135 in all). T(12,-37), with
+three whole twists and one period left, takes no block step either, where
+the full transfer steps 330,941 entries. Its tables hold the C(n, floor(n/2)) link states (1,716 at
+n = 13), where the full transfer interns every diagram it reaches, up to
+C(n) (742,900 at n = 13). The Jones polynomial of a ``TT`` node with q < r
+runs on the shorter word that ``_reduced_twisted_torus_braid`` builds, on
+q strands for every family member. For TT(9,5,7,-1), the fourth jones-9
+word, 5 strands and 18 letters, the module route takes 152 row terms and
+128 row-building entries (360 entries letter by letter), where the full
+transfer steps 525; on its 7-strand word, 20 letters, the module route took
+740 and 624 (1,985) against 2,155. On the 9 strands of
+(a, k1, k2) = (2,2,2) it takes 3,726 and 4,430 (17,617 letter by letter)
+against 67,569, where the 11-strand word took 24,548 and 22,244 (105,489)
+against 366,268.
 So ``kauffman_bracket`` takes the module route, by blocks, for exactly the
 words that carry blocks, the words the builders in ``braid.py`` make, and
 the full transfer for every other word. A ``BraidWord`` given by its
@@ -572,12 +578,12 @@ def _run(tables: _Tables, start: int, letters: tuple[int, ...], width: int) -> d
     return state
 
 
-def _block_rows(tables: _Tables, period: tuple[int, ...], width: int) -> list[list[tuple[int, int, int]]]:
-    """Per start id, the start stepped through ``period`` by ``_run``, as its terms ``(target, base, packed)``."""
-    return [[(t, base, packed) for t, (base, packed) in _run(tables, s, period, width).items()] for s in tables.starts]
+def _block_rows(tables: _Tables, period: tuple[int, ...], width: int) -> list[dict]:
+    """Per start id, the start stepped through ``period`` by ``_run``: its state ``{target: (base, packed)}``."""
+    return [_run(tables, s, period, width) for s in tables.starts]
 
 
-def _block_step(state: dict, rows: list[list[tuple[int, int, int]]], width: int) -> dict:
+def _block_step(state: dict, rows: list[dict], width: int) -> dict:
     """One period of the word on packed coefficients: each entry times its block row, merged as ``_step`` merges.
 
     An entry A^base P(x) of state s and a row term A^row_base R(x) of s give
@@ -587,7 +593,7 @@ def _block_step(state: dict, rows: list[list[tuple[int, int, int]]], width: int)
     out: dict = {}
     get = out.get
     for s, (base, packed) in state.items():
-        for target, row_base, row_packed in rows[s]:
+        for target, (row_base, row_packed) in rows[s].items():
             new_base = base + row_base
             new = packed * row_packed
             cur = get(target)
@@ -612,14 +618,17 @@ def _block_step(state: dict, rows: list[list[tuple[int, int, int]]], width: int)
 def _run_blocks(rows: dict, start: int, blocks: list[tuple[tuple[int, ...], int]], width: int) -> dict:
     """The link state ``start`` with coefficient 1, stepped through ``count`` periods of each block in turn.
 
-    ``rows`` maps each block's period to its ``_block_rows``.
+    ``rows`` maps each block's period to its ``_block_rows``. The first
+    period's row of ``start`` is that start stepped through one period, so it
+    is the state the block steps go on from; ``_block_step`` builds a new
+    state and never changes a row.
     """
-    state = {start: (0, 1)}
+    state = None
     for period, count in blocks:
         period_rows = rows[period]
         for _ in range(count):
-            state = _block_step(state, period_rows, width)
-    return state
+            state = period_rows[start] if state is None else _block_step(state, period_rows, width)
+    return {start: (0, 1)} if state is None else state
 
 
 def _transfer(tables: _Tables, s: int, letters: tuple[int, ...]) -> dict[int, LaurentPoly]:

@@ -17,7 +17,8 @@ pipelines' column updates and reachable Temperley-Lieb basis are compared
 against; the package runs neither. ``equal_up_to_units`` compares
 polynomials up to the units +-t^k, which only the tests need.
 ``fresh_tables`` gives a test empty Temperley-Lieb table caches, so it can
-count the tables a computation builds.
+count the tables a computation builds. ``block_letters`` spells out a word's
+attached blocks on its own, to compare with the letters the builders make.
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ from twistsum.burau import BurauMatrix
 from twistsum.laurent import normalize_alexander
 
 DELTA = LaurentPoly({2: -1, -2: -1})
+
+
+def block_letters(blocks) -> tuple[int, ...]:
+    """The letters of blocks ``[(period, count), ...]``: each period repeated ``count`` times, in turn."""
+    return tuple(letter for period, count in blocks for _ in range(count) for letter in period)
 
 
 def fresh_tables(monkeypatch) -> None:

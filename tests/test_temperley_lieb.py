@@ -7,7 +7,15 @@ import threading
 
 import pytest
 
-from conftest import DELTA, bracket_from_pd, enumerate_pairings, fresh_tables, random_knot_word, random_word
+from conftest import (
+    DELTA,
+    block_letters,
+    bracket_from_pd,
+    enumerate_pairings,
+    fresh_tables,
+    random_knot_word,
+    random_word,
+)
 from twistsum import (
     BraidWord,
     FamilyParams,
@@ -20,6 +28,7 @@ from twistsum import (
     closure_pd_code,
     family_enumerate,
     family_instantiate,
+    family_verify,
     jones_from_braid,
     kauffman_bracket,
     torus_braid,
@@ -410,10 +419,10 @@ def _reduced_family_words(max_strands):
 def test_block_and_letterwise_module_brackets_agree_on_the_reduced_family_words():
     # 13 strands is the most a tier-1 Jones computation runs on
     words = _reduced_family_words(13)
-    assert len(words) == 12
+    assert len(words) == 17
     for w in words:
         blocks = w._blocks
-        assert len(blocks) == 2, w
+        assert len(blocks) == 3, w
         assert _bracket(w, _modules(w.strands), blocks) == _bracket(w, _modules(w.strands)), w
 
 
@@ -446,18 +455,14 @@ def test_module_route_matches_the_full_transfer_on_the_small_braids_words():
         assert _bracket(w, _modules(w.strands)) == _bracket(w, _diagrams(w.strands)), w
 
 
-def _letters(blocks):
-    return tuple(letter for period, count in blocks for _ in range(count) for letter in period)
-
-
 def test_the_blocks_give_back_the_word():
     # the four jones-9 words: T(9,10), T(8,9), T(8,11) and the reduced word
-    # of the (1,2,2) member, TT(9,5,7,-1)
+    # of the (1,2,2) member, TT(9,5,7,-1), on 5 strands
     jones9 = [torus_braid(9, 10), torus_braid(8, 9), torus_braid(8, 11), _reduced_twisted_torus_braid(9, 5, 7, -1)]
     for w in _torus_grid() + _reduced_family_words(13) + jones9:
-        assert _letters(w._blocks) == w.letters, w
-    # one period per block: d_7^(-2) D_5^2, d_9^5 d_7^(-7) and T(2,-3)
-    assert _reduced_twisted_torus_braid(9, 5, 7, -1)._blocks == [((-6, -5, -4, -3, -2, -1), 2), ((4, 3, 2, 1), 2)]
+        assert block_letters(w._blocks) == w.letters, w
+    # one period per block: d_5^(-2) D_2^(-2) D_5^2, d_9^5 d_7^(-7) and T(2,-3)
+    assert _reduced_twisted_torus_braid(9, 5, 7, -1)._blocks == [((-4, -3, -2, -1), 2), ((-1,), 2), ((4, 3, 2, 1), 2)]
     assert twisted_torus_braid(9, 5, 7, -1)._blocks == [(tuple(range(1, 9)), 5), (tuple(range(-6, 0)), 7)]
     assert torus_braid(2, -3)._blocks == [((-1,), 3)]
 
@@ -468,8 +473,8 @@ def test_empty_periods_and_zero_counts_leave_no_block():
         assert w.letters == () and w._blocks is None, w
     # no full twist for s = 0
     assert twisted_torus_braid(7, 3, 5, 0)._blocks == [(tuple(range(1, 7)), 3)]
-    # D_1 is empty, so a reduced word with q = 1 is its twist block alone
-    assert _reduced_twisted_torus_braid(7, 1, 5, -1)._blocks == [(tuple(range(-4, 0)), 4)]
+    # D_1 is empty, so an r-strand word with q = 1 is its twist block alone
+    assert _reduced_twisted_torus_braid(7, 1, 5, -2)._blocks == [(tuple(range(-4, 0)), 9)]
 
 
 def test_a_word_given_by_its_letters_takes_the_full_transfer_to_the_same_bracket(monkeypatch):
@@ -512,6 +517,24 @@ def test_a_twisted_torus_bracket_takes_the_module_route(monkeypatch):
     assert cache.cache_info().currsize == 1
     cache(9)
     assert cache.cache_info().currsize == 1
+
+
+def test_a_jones9_pass_rebuilds_no_module_tables(monkeypatch):
+    # the four jones-9 computations use the module tables on 9, 8 and 5
+    # strands, the last for the q-strand word of TT(9,5,7,-1); the cache
+    # keeps four strand counts, so a second pass builds none
+    fresh_tables(monkeypatch)
+
+    def jones9_pass():
+        assert family_verify(FamilyParams(1, 2, 2), "full").verdict == "verified-at-level"
+        for p, q in ((9, 10), (8, 9), (8, 11)):
+            assert jones_from_braid(torus_braid(p, q)) == torus_jones_closed(p, q)
+
+    jones9_pass()
+    info = temperley_lieb._modules.cache_info()
+    assert (info.misses, info.currsize) == (3, 3)
+    jones9_pass()
+    assert temperley_lieb._modules.cache_info().misses == info.misses
 
 
 # Each start is stepped by its own kernel call: _run_blocks on the module
@@ -589,13 +612,13 @@ def test_a_module_route_state_stays_within_one_cell_module(monkeypatch):
 # an exponent gap that is not a multiple of 4, or comes out different. The
 # entry changed is a state's own term in its row, which the all-straight
 # smoothing reaches, so at least the start at that state passes through it.
-# Not every entry of a short word is on such a path: for the reduced
-# TT(9,5,7,-1), changing the last term of each period's longest row changes
-# no diagonal.
+# Not every entry of a short word is on such a path: for the 7-strand word
+# d_7^(-2) D_5^2 of TT(9,5,7,-1), changing the last term of each period's
+# longest row changes no diagonal.
 @pytest.mark.parametrize("corrupt", [
-    lambda target, base, packed: (target, base + 2, packed),
-    lambda target, base, packed: (target, base, packed + 1),
-    lambda target, base, packed: (target, base, -packed),
+    lambda base, packed: (base + 2, packed),
+    lambda base, packed: (base, packed + 1),
+    lambda base, packed: (base, -packed),
 ], ids=["row-exponent-off-by-2", "row-coefficient-off-by-1", "row-sign-flipped"])
 @pytest.mark.parametrize("word", [torus_braid(4, 3), _reduced_twisted_torus_braid(9, 5, 7, -1), torus_braid(9, 10)],
                          ids=["T(4,3)", "TT(9,5,7,-1)-reduced", "T(9,10)-one-period-after-the-peel"])
@@ -606,8 +629,7 @@ def test_a_corrupted_block_row_raises_or_changes_the_bracket(monkeypatch, word, 
     def corrupted(tables, period, width):
         rows = real_rows(tables, period, width)
         d = max(range(len(rows)), key=lambda d: len(rows[d]))  # a state the period leaves several terms in
-        own = [target for target, _, _ in rows[d]].index(d)
-        rows[d][own] = corrupt(*rows[d][own])
+        rows[d] = {**rows[d], d: corrupt(*rows[d][d])}
         return rows
 
     monkeypatch.setattr(temperley_lieb, "_block_rows", corrupted)
@@ -661,22 +683,33 @@ def test_jones_of_torus_knots_with_whole_twists_peeled(p, q):
 def test_the_letterwise_module_route_steps_every_letter(monkeypatch):
     # without blocks, the tests' reference, each start steps the whole word,
     # its whole twist included; with blocks, T(9,10) steps one period of d_9
-    # to build the rows, and the twist is peeled
+    # to build the rows, and the twist is peeled. Each start's row is its
+    # state after that period, so no block step runs
     w = torus_braid(9, 10)
     modules = _modules(9)
-    runs = []
-    real_run = temperley_lieb._run
+    runs, block_steps = [], []
+    real_run, real_block_step = temperley_lieb._run, temperley_lieb._block_step
 
     def recording(tables, start, letters, width):
         runs.append(letters)
         return real_run(tables, start, letters, width)
 
+    def block_step(state, rows, width):
+        block_steps.append(len(state))
+        return real_block_step(state, rows, width)
+
     monkeypatch.setattr(temperley_lieb, "_run", recording)
+    monkeypatch.setattr(temperley_lieb, "_block_step", block_step)
     letterwise = _bracket(w, modules)
     assert runs == [w.letters] * len(modules.starts)
     runs.clear()
     assert _bracket(w, modules, w._blocks) == letterwise
     assert runs == [tuple(range(1, 9))] * len(modules.starts)
+    assert block_steps == []
+    # T(9,11) has two periods left: one block step per start
+    w = torus_braid(9, 11)
+    assert _bracket(w, modules, w._blocks) == _bracket(w, modules)
+    assert len(block_steps) == len(modules.starts)
 
 
 # A wrong twist exponent on every module multiplies the bracket by a power
