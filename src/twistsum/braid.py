@@ -95,16 +95,16 @@ def _from_blocks(strands: int, blocks: list[tuple[tuple[int, ...], int]]) -> Bra
 
 
 def torus_braid(p: int, q: int) -> BraidWord:
-    """The standard p-strand presentation (s1 ... s_{p-1})^q of the (p, q) torus link.
+    """The standard p-strand presentation (s1 ... s_{p-1})^q = d_p^q of the (p, q) torus link.
 
-    Negative q gives the mirror word; q = 0 or p = 1 gives the empty word.
+    Negative q gives D_p^q, the mirror word: D_p^(-1) = s1^-1 ... s_(p-1)^-1
+    is d_p with every letter negated. q = 0 or p = 1 gives the empty word.
     Coprimality is not enforced here (the closure may be a link); use
     is_knot_closure to check for a knot.
     """
     if p < 1:
         raise ValueError(f"requires p >= 1: got p={p}")
-    period = tuple(range(1, p))
-    return _from_blocks(p, [(period if q >= 0 else tuple(-l for l in period), abs(q))])
+    return _from_blocks(p, [_delta_power(p, q) if q >= 0 else _D_power(p, q)])
 
 
 def _delta_power(m: int, k: int) -> tuple[tuple[int, ...], int]:

@@ -181,7 +181,7 @@ def _selftest_suites(args):
         yield [tl.catalan(n) for n in range(1, 11)] == expected
         for n in range(1, 9):
             diagrams = tl._diagrams(n)
-            ids = tl._reachable(diagrams)
+            ids = tl._reachable(diagrams, diagrams.starts)
             pairings = {diagrams.states[d] for d in ids}
             yield len(ids) == len(pairings) == expected[n - 1]
             yield all(tl._is_noncrossing_pairing(p) for p in pairings)
@@ -220,7 +220,7 @@ def _selftest_suites(args):
                 yield False
                 return
             for tables in (tl._diagrams(n), modules):
-                for d in tl._reachable(tables):
+                for d in tl._reachable(tables, tables.starts):
                     for word, equal in _braid_relations(n):
                         yield tl._transfer(tables, d, word) == tl._transfer(tables, d, equal)
 

@@ -52,9 +52,9 @@ diagram or link state (the selftest and the tests check the algebra's
 relations through it), ``_closed`` sums the closing terms with their
 weights, and ``_bracket`` runs every start, divides the closed sum by delta
 and decodes it.
-``_reachable`` walks the tables from the starts, filling them as the kernel
-does: ``_modules`` builds the modules with it, and the selftest counts the
-Catalan basis with it.
+``_reachable`` walks the tables from the ids it is given, filling them as
+the kernel does: ``_modules`` builds the modules with it, and the selftest
+counts the Catalan basis with it.
 
 The diagram tables keep every strand count a process has used; the module
 tables, at most C(n, floor(n/2)) states each, keep the last four. Diagram
@@ -162,10 +162,12 @@ decoded once. In the full transfer every weight is a multiple of delta, so
 there the division always leaves no remainder.
 
 Block steps. The torus and twisted torus builders in ``braid.py`` make
-each word from a few periods, each repeated: d_n, its mirror or its inverse,
-d_r^(+-1) in full twists, or D_m, with d_m = s1 ... s_(m-1) and
-D_m = s_(m-1) ... s1. They attach these blocks ``[(period, count), ...]``
-to the word, as ``BraidWord._blocks``, and the letters are the periods
+each word from a few periods, each repeated, and only ``_delta_power`` and
+``_D_power`` there spell a period: d_m^(+-1) or D_m^(+-1), with
+d_m = s1 ... s_(m-1), D_m = s_(m-1) ... s1 and the inverse forms
+d_m^(-1) = s_(m-1)^-1 ... s1^-1 and D_m^(-1) = s1^-1 ... s_(m-1)^-1, the
+mirror of d_m. They attach these blocks ``[(period, count), ...]`` to the
+word, as ``BraidWord._blocks``, and the letters are the periods
 repeated and concatenated, so the two agree by construction. For each
 distinct period ``_bracket`` builds one row per link state: the state with
 coefficient 1 stepped through the period's letters by ``_run``, at the
@@ -186,13 +188,13 @@ per link state, and the full transfer, ``_transfer`` and the relation checks
 keep stepping letter by letter. So does ``_bracket`` on the cell modules
 when it is given no blocks, the tests' letterwise reference.
 
-Full twists. The full twist Delta^2 = d_n^n is central in B_n (W.-L. Chow,
-Annals of Math., 1948; F. A. Garside, Quart. J. Math., 1969). So are the
-n-th powers of the builders' other two periods on n strands, which are both
-Delta^(-2). The inverse period s_(n-1)^-1 ... s1^-1 is d_n^(-1). The mirror
-period s1^-1 ... s_(n-1)^-1 is D_n^(-1), and D_n^n = Delta^2: conjugation
-by the half twist Delta sends s_i to s_(n-i) (Garside), so it sends d_n to
-D_n and the central d_n^n to D_n^n, which is therefore d_n^n.
+Full twists. On n strands the n-th power of each of the four periods is a
+full twist Delta^(+-2), which is central in B_n (W.-L. Chow, Annals of
+Math., 1948; F. A. Garside, Quart. J. Math., 1969). Delta^2 = d_n^n, with
+Delta the half twist. Conjugation by Delta sends s_i to s_(n-i) (Garside),
+so D_n = Delta d_n Delta^(-1) and D_n^n = Delta d_n^n Delta^(-1) = d_n^n,
+as d_n^n is central. The inverse forms are the inverses of d_n and D_n, so
+their n-th powers are Delta^(-2).
 
 On the link states a letter acts as s_j = A + A^-1 E_j, so E_j = A s_j - A^2,
 and an element central in B_n commutes with every E_j. Let T be the action
@@ -213,16 +215,17 @@ monomial, so the value holds on the tables every bracket steps.
 
 A trace is unchanged by moving a central factor, so the trace of a word
 with t full twists taken out of it is lambda^t times the trace of what is
-left. ``_bracket`` peels them off every block whose period is d_n^(+-1), its
-mirror or its inverse on all n strands of the word: of ``count`` periods it
-steps ``count mod n`` and adds floor(count / n) twists, with the sign of the
-period. Each twist moves the base of a diagonal entry of W_k by
-+-(k - n)(k + n + 2) (``_twist_base``): lambda without the A^(+-n(n - 1))
-of the peeled letters, which the writhe of the whole word adds at decoding.
-k - n and k + n + 2 are both even, so the move is a multiple of 4, and the
+left. ``_bracket`` peels them off every block whose period is one of the
+four on all n strands of the word: of ``count`` periods it steps
+``count mod n`` and adds floor(count / n) twists, Delta^2 for d_n and D_n
+and Delta^(-2) for their inverses. Each twist moves the base of a diagonal
+entry of W_k by +-(k - n)(k + n + 2) (``_twist_base``): lambda without the
+A^(+-n(n - 1)) of the peeled letters, which the writhe of the whole word
+adds at decoding. k - n and k + n + 2 are both even, so the move is a multiple of 4, and the
 gap check of ``_closed`` holds for the peeled entries as for the stepped
 ones. On the jones-9 torus words one period is left of T(9,10) and of
-T(8,9), and three of T(8,11).
+T(8,9), and three of T(8,11). The D_3^6 block of TT(11,3,5,-1)'s reduced
+word is two whole twists and takes no block step.
 
 Memory in the modules. A cup-cap never changes the number of defects of a
 link state, so no table entry leaves its module, and the stepped state of a
@@ -290,11 +293,8 @@ runs on the shorter word that ``_reduced_twisted_torus_braid`` builds, on
 q strands for every family member. For TT(9,5,7,-1), the fourth jones-9
 word, 5 strands and 18 letters, the module route takes 152 row terms and
 128 row-building entries (360 entries letter by letter), where the full
-transfer steps 525; on its 7-strand word, 20 letters, the module route took
-740 and 624 (1,985) against 2,155. On the 9 strands of
-(a, k1, k2) = (2,2,2) it takes 3,726 and 4,430 (17,617 letter by letter)
-against 67,569, where the 11-strand word took 24,548 and 22,244 (105,489)
-against 366,268.
+transfer steps 525. On the 9 strands of (a, k1, k2) = (2,2,2) it takes
+3,726 and 4,430 (17,617 letter by letter) against 67,569.
 So ``kauffman_bracket`` takes the module route, by blocks, for exactly the
 words that carry blocks, the words the builders in ``braid.py`` make, and
 the full transfer for every other word. A ``BraidWord`` given by its
@@ -321,7 +321,7 @@ import math
 import sys
 import threading
 
-from .braid import BraidWord, is_knot_closure, writhe
+from .braid import BraidWord, _D_power, _delta_power, is_knot_closure, writhe
 from .errors import (
     ExponentNotDivisibleBy4,
     InternalInvariantViolation,
@@ -454,15 +454,15 @@ def _diagrams(strands: int) -> _Tables:
     return _Tables(strands, [_identity_pairing(strands)], _closure_loops)
 
 
-def _reachable(tables: _Tables) -> list[int]:
-    """Ids of every state reachable from the starts through the cup-cap tables ``_step`` reads.
+def _reachable(tables: _Tables, roots) -> list[int]:
+    """Ids of every state reachable from the ids ``roots`` through the cup-cap tables ``_step`` reads.
 
     From the identity these are the C(strands) basis diagrams, as the
     cup-caps generate the diagram algebra; from one link state per cell
     module, every link state. Table entries still missing are filled on the
     way, by the ``move`` the kernel calls.
     """
-    order, reached = list(tables.starts), set(tables.starts)
+    order, reached = list(roots), set(roots)
     for d in order:  # grows while it is walked: a breadth-first search
         for j, row in enumerate(tables.moves):
             code = row[d]
@@ -498,21 +498,20 @@ def _modules(strands: int) -> _Tables:
     tables = _Tables(strands, [], lambda state: state.count(-1))
     c_ids = []
     for arcs in range(strands // 2 + 1):
-        c_k = tuple(i ^ 1 if i < 2 * arcs else -1 for i in range(strands))
-        tables.starts = [tables.intern(c_k)]
-        c_ids.append(tables.starts[0])
-        _reachable(tables)
+        c_ids.append(tables.intern(tuple(i ^ 1 if i < 2 * arcs else -1 for i in range(strands))))
+        _reachable(tables, [c_ids[-1]])
     tables.starts = range(len(tables.states))
     group = tables.group
     for j, row in enumerate(tables.moves):
         if any(code >= 0 and group[code >> 1] != group[d] for d, code in enumerate(row)):
             raise InternalInvariantViolation(f"a cup-cap at {j} leaves a cell module on {strands} strands")
     # Delta^(+-2) is d_n^(+-n), and its running writhe is +-n(n - 1)
-    for sign, period in ((1, tuple(range(1, strands))), (-1, tuple(range(1 - strands, 0)))):
+    for sign in (1, -1):
+        period, count = _delta_power(strands, sign * strands)
         for c in c_ids:
             k = group[c]
             twist = sign * (_twist_base(strands, k) + strands * (strands - 1))
-            if _transfer(tables, c, period * strands) != {c: LaurentPoly.monomial(twist)}:
+            if _transfer(tables, c, period * count) != {c: LaurentPoly.monomial(twist)}:
                 raise InternalInvariantViolation(f"a full twist is not A^{twist} on W_{k} on {strands} strands")
     return tables
 
@@ -708,10 +707,10 @@ def _bracket(b: BraidWord, tables: _Tables, blocks: list[tuple[tuple[int, ...], 
     that weighs delta. With ``blocks``, the blocks the word's builder
     attached, the cell modules (and only they, as every link state starts)
     step it one period at a time through block rows built for this call,
-    after peeling the whole full twists off every period d_n^(+-1) on all n
-    strands: each twist moves the base of a diagonal entry of W_k by
-    ``_twist_base`` (see Full twists in the module docstring). Without
-    blocks, every start is stepped letter by letter.
+    after peeling the whole full twists off every period d_n^(+-1) or
+    D_n^(+-1) on all n strands: each twist moves the base of a diagonal
+    entry of W_k by ``_twist_base`` (see Full twists in the module
+    docstring). Without blocks, every start is stepped letter by letter.
     """
     trace = len(tables.starts) > 1
     n = b.strands
@@ -724,8 +723,8 @@ def _bracket(b: BraidWord, tables: _Tables, blocks: list[tuple[tuple[int, ...], 
         letters = b.letters if trace else _rotated(b.letters)
         states = (_run(tables, s, letters, width) for s in tables.starts)
     else:
-        # n periods of d_n, of its mirror or of its inverse are Delta^(+-2)
-        full = {tuple(range(1, n)): 1, tuple(range(-1, -n, -1)): -1, tuple(range(1 - n, 0)): -1}
+        # n periods of d_n or D_n are Delta^2, and n of their inverses Delta^(-2)
+        full = {power(n, sign)[0]: sign for power in (_delta_power, _D_power) for sign in (1, -1)}
         stepped = []
         for period, count in blocks:
             if period in full:

@@ -13,6 +13,7 @@ from twistsum import (
     alexander_from_braid,
     closure_pd_code,
     is_knot_closure,
+    twisted_torus_braid,
 )
 from twistsum.burau import burau_of_word
 
@@ -119,6 +120,23 @@ def test_corrupted_division_raises(monkeypatch):
         burau._det_bareiss(rows)
     with pytest.raises(InternalInvariantViolation):
         alexander_from_braid(BraidWord(4, (1, -2, 3) * 3))
+
+
+def test_a_corrupted_division_by_a_non_unit_raises(monkeypatch):
+    # divisions by +-1 are left exact, so the guard must hold on the others
+    # alone: 3 of the 12 divisions of this word are by non-units
+    non_units = []
+
+    def corrupted(a, b):
+        if abs(b) > 1:
+            non_units.append(b)
+            return a // b, 1
+        return divmod(a, b)
+
+    monkeypatch.setattr(burau, "divmod", corrupted, raising=False)
+    with pytest.raises(InternalInvariantViolation):
+        alexander_from_braid(twisted_torus_braid(9, 5, 7, -1))
+    assert non_units
 
 
 def test_alexander_matches_pd_matrix_oracle():

@@ -44,6 +44,14 @@ def test_torus_braid_examples():
         torus_braid(0, 3)
 
 
+def test_a_negative_torus_braid_is_the_mirror_word():
+    # the builder spells it as a power of D_p^(-1); the letters are those
+    # of the mirror of the positive word
+    for p in range(2, 11):
+        for q in range(1, 26):
+            assert torus_braid(p, -q).letters == braid_mirror(torus_braid(p, q)).letters, (p, q)
+
+
 def test_twisted_torus_braid_examples():
     tt = twisted_torus_braid(5, 3, 2, 1)
     assert tt.strands == 5

@@ -74,7 +74,7 @@ def test_reachable_basis_is_every_noncrossing_pairing(monkeypatch, tables):
         fresh_tables(monkeypatch)
     for n in range(1, 9):
         diagrams = temperley_lieb._diagrams(n)
-        ids = _reachable(diagrams)
+        ids = _reachable(diagrams, diagrams.starts)
         assert ids[0] == 0 and len(set(ids)) == len(ids) == catalan(n)
         assert {diagrams.states[d] for d in ids} == set(enumerate_pairings(n))
         # every table entry of the basis is filled, and stays inside it
@@ -641,8 +641,13 @@ def test_a_corrupted_block_row_raises_or_changes_the_bracket(monkeypatch, word, 
 
 
 def _full_twist_periods(n):
-    """d_n, its mirror and its inverse, each with the sign of its n-th power, Delta^(+-2)."""
-    return [(1, tuple(range(1, n))), (-1, tuple(range(-1, -n, -1))), (-1, tuple(range(1 - n, 0)))]
+    """d_n, D_n and their inverses, each with the sign of its n-th power, Delta^(+-2).
+
+    Spelled here letter by letter, apart from the builders in ``braid.py``;
+    D_n^(-1) is the mirror of d_n.
+    """
+    return [(1, tuple(range(1, n))), (1, tuple(range(n - 1, 0, -1))),
+            (-1, tuple(range(-1, -n, -1))), (-1, tuple(range(1 - n, 0)))]
 
 
 def test_a_full_twist_is_one_monomial_on_every_link_state():
@@ -712,16 +717,44 @@ def test_the_letterwise_module_route_steps_every_letter(monkeypatch):
     assert len(block_steps) == len(modules.starts)
 
 
+def test_whole_D_n_twists_are_peeled(monkeypatch):
+    # the reduced word of TT(11,3,5,-1) is d_3^(-2) D_2^(-2) D_3^6 on 3
+    # strands, and D_3^6 is two full twists: no row is built for D_3, and
+    # each start takes three block steps, the second period of d_3^(-1) and
+    # both of D_2^(-1)
+    w = _reduced_twisted_torus_braid(11, 3, 5, -1)
+    assert w.strands == 3 and w._blocks == [((-2, -1), 2), ((-1,), 2), ((2, 1), 6)]
+    modules = _modules(3)
+    periods, block_steps = [], []
+    real_rows, real_block_step = temperley_lieb._block_rows, temperley_lieb._block_step
+
+    def rows(tables, period, width):
+        periods.append(period)
+        return real_rows(tables, period, width)
+
+    def block_step(state, rows, width):
+        block_steps.append(len(state))
+        return real_block_step(state, rows, width)
+
+    monkeypatch.setattr(temperley_lieb, "_block_rows", rows)
+    monkeypatch.setattr(temperley_lieb, "_block_step", block_step)
+    peeled = _bracket(w, modules, w._blocks)
+    assert periods == [(-2, -1), (-1,)]
+    assert len(block_steps) == 3 * len(modules.starts)
+    assert peeled == _bracket(w, modules) == _bracket(w, _diagrams(3))
+
+
 # A wrong twist exponent on every module multiplies the bracket by a power
 # of A; on one module only, it changes that module's trace. Off by 2 on one
 # module, with an odd number of twists, puts that trace 2 mod 4 away from
 # the others, which the gap check in _closed refuses. Each word peels an odd
-# number of twists from a different period form: d_9, the mirror of d_8
-# and the inverse of d_7.
+# number of twists from a different period: d_9, the mirror of d_8 (D_8^(-1)),
+# the inverse of d_7 and D_3.
 @pytest.mark.parametrize("error, top_only, raises", [(4, False, False), (4, True, False), (2, True, True)],
                          ids=["off-by-4-everywhere", "off-by-4-on-W_n", "off-by-2-on-W_n"])
-@pytest.mark.parametrize("word", [torus_braid(9, 10), torus_braid(8, -25), _reduced_twisted_torus_braid(9, 5, 7, -2)],
-                         ids=["T(9,10)", "T(8,-25)", "TT(9,5,7,-2)-reduced"])
+@pytest.mark.parametrize("word", [torus_braid(9, 10), torus_braid(8, -25), _reduced_twisted_torus_braid(9, 5, 7, -2),
+                                  _reduced_twisted_torus_braid(10, 3, 5, -1)],
+                         ids=["T(9,10)", "T(8,-25)", "TT(9,5,7,-2)-reduced", "TT(10,3,5,-1)-reduced"])
 def test_a_wrong_twist_exponent_raises_or_changes_the_bracket(monkeypatch, word, error, top_only, raises):
     expected = kauffman_bracket(word)  # builds the module tables with the right exponent
     n = word.strands
